@@ -9,7 +9,8 @@ strips those (a real PR-2 incident).  This package enforces them
 mechanically, at analysis time:
 
 * :mod:`repro.analysis.base` — the :class:`~repro.analysis.base.Finding`
-  record, the :class:`~repro.analysis.base.Checker` /
+  record, the :class:`~repro.analysis.base.ParsedFile` every file rule
+  scans, the :class:`~repro.analysis.base.Checker` /
   :class:`~repro.analysis.base.ProjectChecker` interfaces, and the
   rule registry;
 * :mod:`repro.analysis.config` — the declarative
@@ -34,6 +35,7 @@ See ``docs/LINTING.md`` for the rule-by-rule rationale.
 from repro.analysis.base import (
     Checker,
     Finding,
+    ParsedFile,
     ProjectChecker,
     all_rules,
     get_checker,
@@ -69,6 +71,7 @@ __all__ = [
     "LintConfig",
     "LintResult",
     "ModuleSummary",
+    "ParsedFile",
     "ProjectChecker",
     "ProjectGraph",
     "all_rules",

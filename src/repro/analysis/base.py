@@ -3,8 +3,11 @@
 A checker is a small class with a stable ``rule`` id, a one-line
 ``description``, an ``applies_to`` path filter (rules like
 ``determinism`` only bind inside the stochastic layers), and a
-``check`` method that walks a parsed module and yields
-:class:`Finding` records.  Checkers register themselves with
+``check`` method that scans a :class:`ParsedFile` and yields
+:class:`Finding` records.  The engine builds one :class:`ParsedFile`
+per file — one parse, one ``ast.walk`` — and hands the same object to
+every rule, so a rule iterates ``parsed.nodes`` instead of walking the
+tree again.  Checkers register themselves with
 :func:`register` at import time; :mod:`repro.analysis.checkers`
 imports every rule module so the registry is complete after one
 ``import repro.analysis``.
@@ -26,6 +29,7 @@ declarative ``[tool.mems-repro.lint.scopes]`` tables.
 from __future__ import annotations
 
 import ast
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +70,47 @@ class Finding:
                    message=str(data["message"]))
 
 
+#: One physical line with its terminator, split the way the parser
+#: splits: on ``\r\n``, ``\r`` and ``\n`` only (``str.splitlines``
+#: also breaks on ``\x0c``, ``\x1c``, ``\u2028``, ... and would shift
+#: every node's line index after one of those).
+_PHYSICAL_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+@dataclass(frozen=True)
+class ParsedFile:
+    """One module, parsed once and walked once, shared by every rule."""
+
+    path: Path
+    source: str
+    tree: ast.Module
+    #: Physical source lines (terminators kept), split as the parser does.
+    lines: tuple[str, ...]
+    #: Every node of ``tree``, in ``ast.walk`` order.
+    nodes: tuple[ast.AST, ...]
+
+    @classmethod
+    def parse(cls, source: str, path: Path) -> ParsedFile:
+        """Parse ``source``; a :class:`SyntaxError` propagates."""
+        tree = ast.parse(source, filename=str(path))
+        return cls(path=path, source=source, tree=tree,
+                   lines=tuple(_PHYSICAL_LINE.findall(source)),
+                   nodes=tuple(ast.walk(tree)))
+
+    def segment(self, node: ast.expr) -> str:
+        """Source text of ``node`` (what ``ast.get_source_segment``
+        returns, without re-splitting the file on every call).  Node
+        columns are UTF-8 byte offsets, so the encoded lines are sliced.
+        """
+        first = self.lines[node.lineno - 1].encode()
+        if node.end_lineno == node.lineno:
+            return first[node.col_offset:node.end_col_offset].decode()
+        last = self.lines[node.end_lineno - 1].encode()
+        return "".join((first[node.col_offset:].decode(),
+                        *self.lines[node.lineno:node.end_lineno - 1],
+                        last[:node.end_col_offset].decode()))
+
+
 class Checker:
     """Base class for one per-file lint rule.
 
@@ -94,8 +139,7 @@ class Checker:
         scope = self.config.scope(self.rule)
         return True if scope is None else scope.applies_to(path)
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         """Yield every violation found in the parsed module."""
         raise NotImplementedError
 
@@ -116,8 +160,7 @@ class ProjectChecker(Checker):
     ``pyproject.toml`` ancestor), never for loose files.
     """
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
         return iter(())  # graph rules contribute nothing per-file
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:

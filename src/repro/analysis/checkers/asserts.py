@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 
 @register
@@ -29,9 +28,9 @@ class NoBareAssertChecker(Checker):
     description = ("no assert statements in library code "
                    "(python -O strips them); raise explicitly")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
+        for node in parsed.nodes:
             if isinstance(node, ast.Assert):
                 condition = ast.unparse(node.test)
                 if len(condition) > 60:

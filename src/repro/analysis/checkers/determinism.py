@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 #: Fully-qualified callables that read the wall clock.
 WALL_CLOCK = frozenset({
@@ -77,24 +76,26 @@ def _dotted(node: ast.expr) -> list[str] | None:
     return parts[::-1]
 
 
-class _ImportMap(ast.NodeVisitor):
-    """Local name -> canonical dotted prefix, from the file's imports."""
+def _import_aliases(nodes: tuple[ast.AST, ...]) -> dict[str, str]:
+    """Local name -> canonical dotted prefix, from the file's imports.
 
-    def __init__(self) -> None:
-        self.aliases: dict[str, str] = {}
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            canonical = alias.name if alias.asname else local
-            self.aliases[local] = canonical
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return
-        for alias in node.names:
-            local = alias.asname or alias.name
-            self.aliases[local] = f"{node.module}.{alias.name}"
+    Imports are applied in source order (a later rebinding wins), the
+    order a depth-first visit of the module meets them in.
+    """
+    imports = sorted((node for node in nodes
+                      if isinstance(node, (ast.Import, ast.ImportFrom))),
+                     key=lambda node: (node.lineno, node.col_offset))
+    aliases: dict[str, str] = {}
+    for node in imports:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                aliases[local] = alias.name if alias.asname else local
+        elif node.module is not None and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = \
+                    f"{node.module}.{alias.name}"
+    return aliases
 
 
 @register
@@ -105,12 +106,10 @@ class DeterminismChecker(Checker):
     description = ("no wall clocks or global RNG state in the seeded "
                    "layers (scoped via config); inject a seeded Generator")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
-        imports = _ImportMap()
-        imports.visit(tree)
-        aliases = imports.aliases
-        for node in ast.walk(tree):
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
+        aliases = _import_aliases(parsed.nodes)
+        for node in parsed.nodes:
             if not isinstance(node, ast.Call):
                 continue
             parts = _dotted(node.func)

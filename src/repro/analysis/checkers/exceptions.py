@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 #: Builtin exception classes library code must not raise directly.
 BANNED = frozenset({
@@ -41,9 +40,9 @@ class ExceptionHygieneChecker(Checker):
     description = ("raise ReproError subclasses (or RuntimeError for "
                    "internal invariants), not bare builtins")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
+        for node in parsed.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc

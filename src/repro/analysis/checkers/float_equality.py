@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 
 def _is_float_call(node: ast.expr) -> bool:
@@ -68,9 +67,9 @@ class FloatEqualityChecker(Checker):
                    "layers (scoped via config); use math.isclose / "
                    "math.isinf / a tolerance")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
+        for node in parsed.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]

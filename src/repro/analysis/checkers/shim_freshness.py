@@ -28,7 +28,7 @@ import ast
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 
 def _module_tails(dotted: str) -> list[tuple[str, ...]]:
@@ -57,14 +57,14 @@ class ShimFreshnessChecker(Checker):
     def applies_to(self, path: Path) -> bool:
         return self.shim_for(path) is not None
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
         shim = self.shim_for(path)
         if shim is None:  # pragma: no cover - applies_to gates this
             return
         shim_name, replacement = shim
         imported: set[str] = set()
-        for index, node in enumerate(tree.body):
+        for index, node in enumerate(parsed.tree.body):
             if isinstance(node, ast.Expr) and index == 0 and \
                     isinstance(node.value, ast.Constant) and \
                     isinstance(node.value.value, str):

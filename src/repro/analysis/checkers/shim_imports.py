@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 
 def _shim_of(shims: dict[str, str], module: str) -> str | None:
@@ -40,11 +39,11 @@ class NoShimImportsChecker(Checker):
     description = ("import the planner API from repro.planner, not the "
                    "deprecated core.capacity / core.hybrid shims")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
         shims = self.config.shim_map()
         parents = {shim.rpartition(".")[0] for shim in shims if "." in shim}
-        for node in ast.walk(tree):
+        for node in parsed.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     shim = _shim_of(shims, alias.name)

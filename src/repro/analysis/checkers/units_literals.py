@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from pathlib import Path
 
-from repro.analysis.base import Checker, Finding, register
+from repro.analysis.base import Checker, Finding, ParsedFile, register
 
 #: Decimal magnitudes flagged in any spelling, with the constant to use.
 DECIMAL_ANY = {10**6: "MB", 10**9: "GB", 10**12: "TB"}
@@ -50,11 +49,6 @@ BINARY = frozenset(
 BINARY_SHIFTS = frozenset({10, 20, 30, 40})
 
 
-def _literal_text(node: ast.Constant, source: str) -> str:
-    segment = ast.get_source_segment(source, node)
-    return segment if segment is not None else repr(node.value)
-
-
 @register
 class UnitLiteralsChecker(Checker):
     """Flag magic unit-conversion literals outside ``repro.units``."""
@@ -63,9 +57,9 @@ class UnitLiteralsChecker(Checker):
     description = ("no magic unit literals (1e6, 1_000_000, 1024, "
                    "1 << 20); use the repro.units constants")
 
-    def check(self, tree: ast.Module, source: str,
-              path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, parsed: ParsedFile) -> Iterator[Finding]:
+        path = parsed.path
+        for node in parsed.nodes:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
                 left, right = node.left, node.right
                 if (isinstance(left, ast.Constant) and left.value == 1
@@ -82,7 +76,7 @@ class UnitLiteralsChecker(Checker):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             magnitude = abs(value)
-            text = _literal_text(node, source)
+            text = parsed.segment(node)
             if magnitude in BINARY:
                 yield self.finding(
                     path, node,

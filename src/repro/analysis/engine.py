@@ -3,8 +3,9 @@
 The engine owns everything between "a path" and "a sorted list of
 findings":
 
-* reading and parsing each module once — every file rule shares the
-  tree, and the parse also yields the module's
+* reading, parsing and walking each module once — every file rule
+  scans the same :class:`~repro.analysis.base.ParsedFile`, and the
+  parse also yields the module's
   :class:`~repro.analysis.project.ModuleSummary` for the graph phase;
 * the **incremental cache** (:mod:`repro.analysis.cache`): unchanged
   files are recognised by content digest and cost zero parses;
@@ -37,7 +38,6 @@ suppression should be as loud as the violation it hides.
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 import tokenize
@@ -47,6 +47,7 @@ from pathlib import Path
 from repro.analysis.base import (
     Checker,
     Finding,
+    ParsedFile,
     ProjectChecker,
     all_rules,
     select_checkers,
@@ -91,10 +92,13 @@ def _collect_suppressions(source: str) -> tuple[
     string literal never counts; a comment attached to a multi-line
     statement expands to the statement's whole physical span (findings
     anchor at the first line).  Unreadable token streams (the parser
-    will flag the file anyway) yield empty results.
+    will flag the file anyway) yield empty results, as do sources
+    without the marker text, which are not tokenized at all.
     """
     suppressed: dict[int, frozenset[str]] = {}
     named: list[tuple[int, str]] = []
+    if "repro-lint" not in source:
+        return suppressed, named
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -181,11 +185,6 @@ def _unknown_suppression_findings(
     return findings
 
 
-def _file_checkers(config: LintConfig) -> list[Checker]:
-    return [checker for checker in select_checkers(None, config)
-            if not isinstance(checker, ProjectChecker)]
-
-
 def _parse_error_entry(path_str: str, digest: str, line: int, col: int,
                        message: str) -> FileEntry:
     return FileEntry(digest=digest, findings=[
@@ -193,30 +192,43 @@ def _parse_error_entry(path_str: str, digest: str, line: int, col: int,
                 rule=PARSE_ERROR_RULE, message=message)])
 
 
+def _check_parsed(parsed: ParsedFile, checkers: list[Checker]) -> tuple[
+        list[Finding], dict[int, frozenset[str]]]:
+    """Run the applicable file checkers over one parsed module.
+
+    Returns the sorted, suppression-filtered findings (with any
+    ``unknown-suppression`` ones) and the file's suppression map.
+    """
+    suppressions, named = _collect_suppressions(parsed.source)
+    path_str = str(parsed.path)
+    findings = _unknown_suppression_findings(path_str, named)
+    for checker in checkers:
+        if not isinstance(checker, ProjectChecker) and \
+                checker.applies_to(parsed.path):
+            findings.extend(checker.check(parsed))
+    return sorted(finding for finding in findings
+                  if not _is_suppressed(finding, suppressions)), suppressions
+
+
 def _build_entry(path_str: str, source: str, digest: str,
                  config: LintConfig) -> FileEntry:
     """Parse one file and derive everything the engine caches."""
     path = Path(path_str)
     try:
-        tree = ast.parse(source, filename=path_str)
+        parsed = ParsedFile.parse(source, path)
     except SyntaxError as exc:
         return _parse_error_entry(path_str, digest, exc.lineno or 1,
                                   (exc.offset or 1) - 1,
                                   f"syntax error: {exc.msg}")
-    suppressions, named = _collect_suppressions(source)
-    findings = list(_unknown_suppression_findings(path_str, named))
-    for checker in _file_checkers(config):
-        if checker.applies_to(path):
-            findings.extend(checker.check(tree, source, path))
-    findings = sorted(finding for finding in findings
-                      if not _is_suppressed(finding, suppressions))
+    findings, suppressions = _check_parsed(
+        parsed, select_checkers(None, config))
     summary = None
     src_path = config.src_path()
     if src_path is not None:
         module = module_name_for(path, src_path)
         if module is not None:
             summary = summarize_module(
-                tree, module=module, path=path,
+                parsed.tree, module=module, path=path,
                 is_package=path.name == "__init__.py")
     return FileEntry(
         digest=digest, findings=findings, summary=summary,
@@ -253,21 +265,12 @@ def analyze_file(path: Path,
                         rule=PARSE_ERROR_RULE,
                         message=f"cannot read file: {exc}")]
     try:
-        tree = ast.parse(source, filename=str(path))
+        parsed = ParsedFile.parse(source, path)
     except SyntaxError as exc:
         return [Finding(path=str(path), line=exc.lineno or 1,
                         col=(exc.offset or 1) - 1, rule=PARSE_ERROR_RULE,
                         message=f"syntax error: {exc.msg}")]
-    suppressions, named = _collect_suppressions(source)
-    findings = list(_unknown_suppression_findings(str(path), named))
-    findings.extend(
-        finding
-        for checker in checkers
-        if not isinstance(checker, ProjectChecker)
-        and checker.applies_to(path)
-        for finding in checker.check(tree, source, path))
-    return sorted(finding for finding in findings
-                  if not _is_suppressed(finding, suppressions))
+    return _check_parsed(parsed, checkers)[0]
 
 
 def iter_python_files(paths: list[Path]) -> list[Path]:

@@ -339,6 +339,8 @@ class ProjectGraph:
     packages: frozenset[str] = frozenset()
     #: Concatenated text of the configured docs corpus.
     docs_text: str = ""
+    #: ``module.symbol`` -> modules that from-import or dotted-use it.
+    importers: dict[str, list[str]] = field(default_factory=dict)
 
     def layer_of(self, module: str) -> str | None:
         """Architecture layer of a project module (None if external).
@@ -363,23 +365,36 @@ class ProjectGraph:
 
     def importers_of(self, module: str, symbol: str) -> list[str]:
         """Modules that from-import or dotted-use ``module.symbol``."""
-        dotted = f"{module}.{symbol}"
-        out = []
-        for name, summary in self.modules.items():
-            if name == module:
-                continue
-            if any(target == module and sym == symbol
-                   for target, sym, _ in summary.imports):
-                out.append(name)
-            elif any(use == dotted or use.startswith(dotted + ".")
-                     for use in summary.dotted_uses):
-                out.append(name)
-        return out
+        return [name for name in self.importers.get(f"{module}.{symbol}", ())
+                if name != module]
 
     def star_importers_of(self, module: str) -> list[str]:
         return [name for name, summary in self.modules.items()
                 if any(target == module
                        for target, _ in summary.star_imports)]
+
+
+def _importers_index(
+        modules: dict[str, ModuleSummary]) -> dict[str, list[str]]:
+    """``module.symbol`` -> the modules importing it, built once.
+
+    A module imports ``m.s`` when it from-imports ``s`` from ``m`` or
+    reads a dotted chain equal to or under ``m.s``, so every prefix of
+    two or more parts of each chain is indexed.  Importers are listed
+    once each, in ``modules`` order.
+    """
+    importers: dict[str, list[str]] = {}
+    for name, summary in modules.items():
+        keys = {f"{target}.{symbol}"
+                for target, symbol, _ in summary.imports
+                if symbol is not None}
+        for use in summary.dotted_uses:
+            parts = use.split(".")
+            keys.update(".".join(parts[:end])
+                        for end in range(2, len(parts) + 1))
+        for key in keys:
+            importers.setdefault(key, []).append(name)
+    return importers
 
 
 def build_graph(config: LintConfig,
@@ -388,7 +403,8 @@ def build_graph(config: LintConfig,
     modules = {summary.module: summary for summary in summaries}
     packages = frozenset(name.split(".")[0] for name in modules)
     return ProjectGraph(config=config, modules=modules, packages=packages,
-                        docs_text=load_docs(config))
+                        docs_text=load_docs(config),
+                        importers=_importers_index(modules))
 
 
 def load_docs(config: LintConfig) -> str:

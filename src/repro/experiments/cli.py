@@ -117,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         "runtime", help="run an online-server scenario (or 'list')")
     runtime_cmd.add_argument("scenario", nargs="?", default=None,
                              help="scenario name (see 'runtime list')")
-    runtime_cmd.add_argument("--seed", type=int, default=0,
-                             help="random seed (default 0)")
+    runtime_cmd.add_argument("--seed", type=int, default=None,
+                             help="random seed (default 0, or the "
+                                  "--config file's own seed)")
     runtime_cmd.add_argument("--horizon", type=float, default=None,
                              help="simulated seconds (scenario default)")
     runtime_cmd.add_argument("--json", metavar="PATH", default=None,
@@ -210,8 +211,9 @@ def _run_runtime(args: argparse.Namespace) -> int:
                 raise ConfigurationError(
                     f"horizon must be > 0, got {args.horizon!r}")
             config = config.replace(horizon=args.horizon)
-        result = run_service(config.replace(seed=args.seed)
-                             if args.seed != config.seed else config)
+        if args.seed is not None and args.seed != config.seed:
+            config = config.replace(seed=args.seed)
+        result = run_service(config)
         print(result.dashboard())
         print()
         print(result.summary())
@@ -224,8 +226,9 @@ def _run_runtime(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "runtime needs a scenario name, 'list', 'all', or --config "
             "(see 'runtime list')")
+    seed = 0 if args.seed is None else args.seed
     if args.emit_config is not None:
-        config = build_service_scenario(args.scenario, seed=args.seed,
+        config = build_service_scenario(args.scenario, seed=seed,
                                         horizon=args.horizon)
         text = config.to_json(indent=2)
         if args.emit_config == "-":
@@ -241,7 +244,7 @@ def _run_runtime(args: argparse.Namespace) -> int:
             print(f"{name:>20}  {doc}")
         return 0
     if args.scenario == "all":
-        results = run_scenario_batch(seed=args.seed, horizon=args.horizon,
+        results = run_scenario_batch(seed=seed, horizon=args.horizon,
                                      jobs=args.jobs)
         for name, result in results.items():
             print(f"=== {name} ===")
@@ -261,7 +264,7 @@ def _run_runtime(args: argparse.Namespace) -> int:
     # Fail on a bad name before anything heavy runs — and through the
     # one canonical validator, so the error text has a single home.
     require_known_scenario(args.scenario)
-    result = run_scenario(args.scenario, seed=args.seed,
+    result = run_scenario(args.scenario, seed=seed,
                           horizon=args.horizon)
     print(result.dashboard())
     print()

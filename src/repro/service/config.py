@@ -61,6 +61,38 @@ def _require_keys(payload: dict, known: set[str], *, where: str) -> None:
             f"known: {sorted(known)}")
 
 
+def _require_finite_positive(value: float, *, where: str) -> None:
+    """``0 < value < inf``; NaN fails every comparison, so it fails too."""
+    if not 0 < value < float("inf"):
+        raise ConfigurationError(
+            f"{where} must be finite and > 0, got {value!r}")
+
+
+def _require_entries(payload: dict, name: str,
+                     required: tuple[str, ...]) -> list[dict]:
+    """The ``timeline.<name>`` list, each entry an object with every
+    ``required`` key."""
+    entries = list(payload.get(name, ()))
+    for index, entry in enumerate(entries):
+        where = f"timeline.{name}[{index}]"
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"{where} must be an object, got {type(entry).__name__}")
+        for key in required:
+            if key not in entry:
+                raise ConfigurationError(f"{where} is missing {key!r}")
+    return entries
+
+
+def _failure_kind(value: object, *, where: str) -> FailureKind:
+    try:
+        return FailureKind(value)
+    except ValueError:
+        known = [kind.value for kind in FailureKind]
+        raise ConfigurationError(
+            f"{where} must be one of {known}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """The analytical model's inputs (Table 2), declaratively.
@@ -106,6 +138,12 @@ class SystemConfig:
     def from_dict(cls, payload: dict) -> "SystemConfig":
         _require_keys(payload, {f.name for f in dataclasses.fields(cls)},
                       where="system")
+        for key, value in payload.items():
+            if value is None and key in ("size_mems", "size_disk"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(
+                    f"system.{key} must be a number, got {value!r}")
         return cls(**payload)
 
 
@@ -178,12 +216,10 @@ class WorkloadConfig:
     popularity: PopularityConfig
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigurationError(
-                f"arrival_rate must be > 0, got {self.arrival_rate!r}")
-        if self.mean_holding <= 0:
-            raise ConfigurationError(
-                f"mean_holding must be > 0, got {self.mean_holding!r}")
+        _require_finite_positive(self.arrival_rate,
+                                 where="workload.arrival_rate")
+        _require_finite_positive(self.mean_holding,
+                                 where="workload.mean_holding")
         if self.n_titles < 1:
             raise ConfigurationError(
                 f"n_titles must be >= 1, got {self.n_titles!r}")
@@ -331,16 +367,23 @@ class TimelineConfig:
         _require_keys(payload, {"failures", "drifts", "surges", "focuses"},
                       where="timeline")
         failures = tuple(
-            FailureEvent(time=f["time"], kind=FailureKind(f["kind"]),
+            FailureEvent(time=f["time"],
+                         kind=_failure_kind(
+                             f["kind"],
+                             where=f"timeline.failures[{index}].kind"),
                          count=f.get("count", 1), factor=f.get("factor", 1.0))
-            for f in payload.get("failures", ()))
-        drifts = tuple(DriftEvent(time=d["time"], shift=d["shift"])
-                       for d in payload.get("drifts", ()))
-        surges = tuple(SurgeEvent(time=s["time"], factor=s["factor"])
-                       for s in payload.get("surges", ()))
+            for index, f in enumerate(
+                _require_entries(payload, "failures", ("time", "kind"))))
+        drifts = tuple(
+            DriftEvent(time=d["time"], shift=d["shift"])
+            for d in _require_entries(payload, "drifts", ("time", "shift")))
+        surges = tuple(
+            SurgeEvent(time=s["time"], factor=s["factor"])
+            for s in _require_entries(payload, "surges", ("time", "factor")))
         focuses = tuple(
             FocusEvent(time=f["time"], title=f["title"], weight=f["weight"])
-            for f in payload.get("focuses", ()))
+            for f in _require_entries(payload, "focuses",
+                                      ("time", "title", "weight")))
         return cls(failures=failures, drifts=drifts, surges=surges,
                    focuses=focuses)
 
@@ -382,9 +425,7 @@ class RuntimeConfig:
         if self.dram_budget < 0:
             raise ConfigurationError(
                 f"dram_budget must be >= 0, got {self.dram_budget!r}")
-        if self.horizon <= 0:
-            raise ConfigurationError(
-                f"horizon must be > 0, got {self.horizon!r}")
+        _require_finite_positive(self.horizon, where="horizon")
         if self.device not in _DEVICES:
             raise ConfigurationError(
                 f"unknown device {self.device!r}; available: "

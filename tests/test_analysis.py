@@ -7,8 +7,10 @@ schemas and exit codes, and — the gate's own gate — that the shipped
 ``src/`` tree is clean.
 """
 
+import ast
 import io
 import json
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -24,9 +26,14 @@ from repro.analysis import (
     render_json,
     render_text,
 )
-from repro.analysis.base import Finding
+from repro.analysis.base import Finding, ParsedFile
 from repro.analysis.cli import run_lint
-from repro.analysis.engine import PARSE_ERROR_RULE, parse_suppressions
+from repro.analysis.engine import (
+    PARSE_ERROR_RULE,
+    UNKNOWN_SUPPRESSION_RULE,
+    _collect_suppressions,
+    parse_suppressions,
+)
 from repro.errors import ConfigurationError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,18 +174,89 @@ class TestUnitLiterals:
         assert [f.line for f in found] == [7, 8, 9, 10, 11]
 
     def test_decimal_magnitudes_name_the_constant(self):
+        # Exact texts: each message quotes the literal as spelled.
         found = findings_for("unit_literals.py", rule="unit-literals")
-        by_line = {f.line: f.message for f in found}
-        assert "repro.units.MB" in by_line[7]
-        assert "repro.units.MB" in by_line[8]
-        assert "binary-convention" in by_line[9]
-        assert "1 << 20" in by_line[10]
-        assert "repro.units.KB" in by_line[11]
+        assert {f.line: f.message for f in found} == {
+            7: "magic unit literal 1e6; use repro.units.MB",
+            8: "magic unit literal 1_000_000; use repro.units.MB",
+            9: "binary-convention literal 1024; this library is decimal "
+               "(SI, 1 MB = 10^6 B) — use repro.units",
+            10: "binary-convention 1 << 20; this library is decimal (SI) "
+                "— use repro.units",
+            11: "magic unit literal 1e3; use repro.units.KB (or divide by "
+                "MS for second->millisecond)",
+        }
 
     def test_units_module_is_exempt(self):
         checker = get_checker("unit-literals")
         assert not checker.applies_to(Path("src/repro/units.py"))
         assert checker.applies_to(Path("src/repro/core/theorems.py"))
+
+
+def _numeric_constants(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, (int, float, complex))
+            and not isinstance(node.value, bool)]
+
+
+def _stdlib_segment(source, node):
+    r"""``ast.get_source_segment(source, node)``, asked of the node's own
+    lines only.
+
+    The stdlib re-splits the whole source on every call, which over a
+    whole tree is quadratic.  A cut just after a ``\n`` never changes
+    the parser's lines on either side of it, and when the lines cut off
+    above hold no ``\r``, their parser line count is their ``\n``
+    count, so the shifted node asks the stdlib the same question
+    (otherwise the full source is used).
+    """
+    *above, rest = source.split("\n", node.lineno - 1)
+    if any("\r" in line for line in above):
+        return ast.get_source_segment(source, node)
+    span = node.end_lineno - node.lineno + 1
+    window = "\n".join(rest.split("\n", span)[:span])
+    shifted = ast.Constant(
+        value=node.value, lineno=1, end_lineno=span,
+        col_offset=node.col_offset, end_col_offset=node.end_col_offset)
+    return ast.get_source_segment(window, shifted)
+
+
+class TestSourceSegments:
+    """``ParsedFile.segment`` (lines split once per file) against the
+    stdlib's ``ast.get_source_segment`` (re-split on every call)."""
+
+    @pytest.mark.parametrize("source", [
+        'name = ("é€", 1_000_000)\n',
+        "# form\x0cfeed\nx = 1_000_000\n",
+        "# line\u2028separator\nx = 1_000_000\n",
+        "# file\x1cseparator\r\ny = 2\rx = (1e6 +\r\n 1_024)\n",
+    ], ids=["non-ascii-before", "form-feed-above", "u2028-above",
+            "cr-and-crlf"])
+    def test_matches_stdlib_on_awkward_lines(self, source):
+        parsed = ParsedFile.parse(source, Path("case.py"))
+        nodes = [node for node in parsed.nodes
+                 if isinstance(node, ast.expr)]
+        assert _numeric_constants(parsed.tree)
+        for node in nodes:
+            assert parsed.segment(node) == \
+                ast.get_source_segment(source, node)
+
+    def test_matches_stdlib_on_every_numeric_literal(self):
+        files = sorted((REPO / "src").rglob("*.py")) + \
+            sorted(FIXTURES.rglob("*.py"))
+        checked = 0
+        for path in files:
+            source = path.read_bytes().decode("utf-8")
+            try:
+                parsed = ParsedFile.parse(source, path)
+            except SyntaxError:
+                continue  # bad_syntax.py
+            for node in _numeric_constants(parsed.tree):
+                assert parsed.segment(node) == \
+                    _stdlib_segment(source, node), (path, node.lineno)
+                checked += 1
+        assert checked > 1000
 
 
 class TestNoShimImports:
@@ -275,6 +353,32 @@ class TestSuppressions:
         assert suppressed[1] == frozenset({"unit-literals", "determinism"})
         assert suppressed[2] == frozenset({"*"})
         assert 3 not in suppressed  # '#' inside a string is not a comment
+
+    def test_source_without_marker_is_not_tokenized(self, monkeypatch):
+        def no_tokenizing(*args, **kwargs):
+            raise AssertionError("tokenized a source without the marker")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", no_tokenizing)
+        assert _collect_suppressions("x = 1_000_000  # noqa\n") == ({}, [])
+
+    def test_marker_inside_a_string_suppresses_nothing(self, tmp_path):
+        source = 's = "# repro-lint: disable"\nx = 1_000_000\n'
+        assert _collect_suppressions(source) == ({}, [])
+        target = tmp_path / "marker_in_string.py"
+        target.write_text(source, encoding="utf-8")
+        found = analyze_file(target)
+        assert [(f.line, f.rule) for f in found] == [(2, "unit-literals")]
+
+    def test_typoed_rule_is_an_unknown_suppression(self, tmp_path):
+        target = tmp_path / "typo.py"
+        target.write_text(
+            "x = 1_000_000  # repro-lint: disable=unit-literal\n",
+            encoding="utf-8")
+        found = analyze_file(target)
+        assert sorted(f.rule for f in found) == [
+            "unit-literals", UNKNOWN_SUPPRESSION_RULE]
+        unknown = [f for f in found if f.rule == UNKNOWN_SUPPRESSION_RULE]
+        assert "'unit-literal'" in unknown[0].message
 
 
 class TestEngine:

@@ -39,6 +39,7 @@ from repro.analysis.engine import (
     analyze_file,
     analyze_paths,
 )
+from repro.analysis.project import ModuleSummary, build_graph
 from repro.analysis.reporters import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -133,6 +134,28 @@ class TestGraphRules:
                               cache_path=tmp_path / "c.json")
         assert result.files_checked > 1  # universe expanded to src/
         assert {f.rule for f in result.findings} == {"shim-freshness"}
+
+
+class TestImportersIndex:
+    def test_importers_of_matches_imports_and_dotted_uses(self):
+        graph = build_graph(LintConfig(), [
+            ModuleSummary(module="p.a", path="a.py",
+                          dotted_uses=("p.a.helper.attr",)),
+            ModuleSummary(module="p.b", path="b.py",
+                          imports=(("p.a", "helper", 1),
+                                   ("p.a", None, 2))),
+            ModuleSummary(module="p.c", path="c.py",
+                          dotted_uses=("p.a.helper.attr", "p.a.help")),
+            ModuleSummary(module="p.d", path="d.py",
+                          dotted_uses=("p.a.helpers", "p.a")),
+        ])
+        # p.a's own use does not count; each importer is listed once,
+        # in module order; a longer name sharing the prefix is no use.
+        assert graph.importers_of("p.a", "helper") == ["p.b", "p.c"]
+        assert graph.importers_of("p.a", "help") == ["p.c"]
+        assert graph.importers_of("p.a", "helpers") == ["p.d"]
+        assert graph.importers_of("p.a", "other") == []
+        assert graph.importers_of("p.a.helper", "attr") == ["p.a", "p.c"]
 
 
 class TestParallelAndIncremental:

@@ -87,6 +87,37 @@ class TestEmitConfig:
         assert (json.loads(service_json.read_text())
                 == json.loads(legacy_json.read_text()))
 
+    def test_config_file_seed_is_kept_without_seed_flag(self, capsys,
+                                                        tmp_path):
+        config_path = tmp_path / "seed7.json"
+        service_json = tmp_path / "service.json"
+        named_json = tmp_path / "named.json"
+        assert main(["runtime", "steady-disk", "--seed", "7",
+                     "--emit-config", str(config_path),
+                     "--horizon", "600"]) == 0
+        assert json.loads(config_path.read_text())["seed"] == 7
+        assert main(["runtime", "--config", str(config_path),
+                     "--json", str(service_json)]) == 0
+        assert main(["runtime", "steady-disk", "--seed", "7",
+                     "--horizon", "600", "--json", str(named_json)]) == 0
+        capsys.readouterr()
+        service = json.loads(service_json.read_text())
+        assert service["summary"]["notes"]["seed"] == 7
+        assert service == json.loads(named_json.read_text())
+
+    def test_seed_flag_overrides_the_config_file_seed(self, capsys,
+                                                      tmp_path):
+        config_path = tmp_path / "seed7.json"
+        service_json = tmp_path / "service.json"
+        assert main(["runtime", "steady-disk", "--seed", "7",
+                     "--emit-config", str(config_path),
+                     "--horizon", "600"]) == 0
+        assert main(["runtime", "--config", str(config_path),
+                     "--seed", "0", "--json", str(service_json)]) == 0
+        capsys.readouterr()
+        notes = json.loads(service_json.read_text())["summary"]["notes"]
+        assert notes["seed"] == 0
+
     def test_config_excludes_scenario_and_emit(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{}")

@@ -1,5 +1,7 @@
 """The declarative RuntimeConfig tree: validation, JSON, compilation."""
 
+import json
+
 import pytest
 
 from repro.core.parameters import SystemParameters
@@ -130,6 +132,53 @@ class TestSerialization:
                                             shed_exit=0.8)))
         clone = RuntimeConfig.from_json(config.to_json())
         assert clone.control.backpressure.throttle_enter == pytest.approx(0.6)
+
+
+def _from_json_with(edit):
+    payload = build_service_scenario("device-failure",
+                                     horizon=2_000.0).to_dict()
+    edit(payload)
+    return RuntimeConfig.from_json(json.dumps(payload))
+
+
+class TestMalformedJson:
+    """Malformed values stop at the JSON boundary as ConfigurationErrors
+    naming the JSON path, never as raw TypeError/KeyError or a run."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_arrival_rate(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=r"workload\.arrival_rate"):
+            _from_json_with(
+                lambda p: p["workload"].update(arrival_rate=value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mean_holding(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=r"workload\.mean_holding"):
+            _from_json_with(
+                lambda p: p["workload"].update(mean_holding=value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_horizon(self, value):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            _from_json_with(lambda p: p.update(horizon=value))
+
+    def test_rejects_string_bit_rate(self):
+        with pytest.raises(ConfigurationError, match=r"system\.bit_rate"):
+            _from_json_with(lambda p: p["system"].update(bit_rate="fast"))
+
+    def test_rejects_failure_without_kind(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"timeline\.failures\[0\].*'kind'"):
+            _from_json_with(
+                lambda p: p["timeline"]["failures"][0].pop("kind"))
+
+    def test_rejects_unknown_failure_kind(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"timeline\.failures\[0\]\.kind"):
+            _from_json_with(
+                lambda p: p["timeline"]["failures"][0].update(kind="meteor"))
 
 
 class TestCompilation:
