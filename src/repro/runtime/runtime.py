@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +67,14 @@ from repro.workloads.arrivals import predicted_blocking
 #: Shared empty blocks for table-core windows with no due work.
 _EMPTY_TIMES: np.ndarray = np.empty(0)
 _EMPTY_ROWS: np.ndarray = np.empty(0, dtype=np.int64)
+
+#: One drained self-driven arrival, as the table core reports it:
+#: ``(time, title, session_id, served_by, reason, batched,
+#: admitted_streams)``.  ``session_id`` is -1 on rejection (``reason``
+#: then says why); ``admitted_streams`` is the controller's count right
+#: after this arrival.  A held arrival was not admitted and carries
+#: only its time (title None, session -1, reason None).
+ArrivalRow = tuple[float, int | None, int, str | None, str | None, bool, int]
 
 
 @dataclass(frozen=True)
@@ -352,8 +360,18 @@ class ServerRuntime:
         #: nothing).  inf while no session is live.
         self._min_dep = float("inf")
         #: Absolute time of the next self-generated arrival (table
-        #: core's run loop only; None while externally driven).
+        #: core with a started chain only; None while externally driven).
         self._next_arrival: float | None = None
+        #: Receives each drained window's self-driven arrivals, in time
+        #: order, as one :data:`ArrivalRow` per arrival (the service
+        #: facade publishes its bus events from them); None when nobody
+        #: needs a per-arrival record, as in :meth:`run`.
+        self.arrival_sink: Callable[[list[ArrivalRow]], None] | None = None
+        #: While True the drain admits no self-driven arrival: it only
+        #: consumes their times and hands them to the sink with no title
+        #: drawn (the facade parks them behind an in-flight replan, or
+        #: refuses them while draining).
+        self.hold_arrivals = False
         self._cached_set: set[int] | None = None
         self._next_id = 0
         self._mode = config.configuration
@@ -493,13 +511,29 @@ class ServerRuntime:
 
     # -- Event handlers ------------------------------------------------------
 
-    def _schedule_arrival(self, sim: Simulator) -> None:
-        delay = self._sampler.next_interarrival()
-        sim.after(delay, self._on_arrival, "arrival")
+    def start_arrivals(self, sim: Simulator,
+                       on_arrival: Callable[[Simulator], object]) -> None:
+        """Start the self-driven Poisson arrival chain.
 
-    def _on_arrival(self, sim: Simulator) -> None:
-        self.handle_arrival(sim)
-        self._schedule_arrival(sim)
+        The one chain start both drivers use (:meth:`run` and the
+        service traffic program).  The object core puts each arrival on
+        the calendar and calls ``on_arrival`` from it, drawing the next
+        interarrival after the arrival is handled.  The table core
+        schedules nothing: it seeds :attr:`_next_arrival` with the same
+        first draw, and every control point drains the chain up to its
+        own time in one vectorized window (reporting each arrival to
+        :attr:`arrival_sink`); ``on_arrival`` is then never called.
+        """
+        if self._table is not None:
+            self._next_arrival = self._sampler.next_interarrival()
+            return
+        next_interarrival = self._sampler.next_interarrival
+
+        def arrive(sim: Simulator) -> None:
+            on_arrival(sim)
+            sim.after(next_interarrival(), arrive, "arrival")
+
+        sim.after(next_interarrival(), arrive, "arrival")
 
     def handle_arrival(self, sim: Simulator,
                        title: int | None = None) -> ArrivalOutcome:
@@ -788,17 +822,31 @@ class ServerRuntime:
         precedes an arrival at the same timestamp, and equal departure
         times resolve in admit order.  Admissions whose (short) holding
         time ends inside the same window re-enter the merge through a
-        small heap.
+        small heap.  With an :attr:`arrival_sink` attached, the window's
+        arrivals are reported to it once the merge is done; while
+        :attr:`hold_arrivals` is set they are reported and not admitted.
         """
         table = self._table
         require(table is not None, "table drain outside the table core")
         arrivals = self._window_arrivals(until, inclusive=inclusive)
+        sink = self.arrival_sink
+        report: list[ArrivalRow] | None = None
+        if len(arrivals) and sink is not None:
+            if self.hold_arrivals:
+                streams = self._controller.admitted_streams
+                report = [(t, None, -1, None, None, False, streams)
+                          for t in arrivals.tolist()]
+                arrivals = _EMPTY_TIMES
+            else:
+                report = []
         due_bound = (self._min_dep <= until if inclusive
                      else self._min_dep < until)
         rows = (table.harvest(until, inclusive=inclusive)
                 if due_bound else _EMPTY_ROWS)
         n_arr, n_dep = len(arrivals), len(rows)
         if n_arr == 0 and n_dep == 0:
+            if report:
+                sink(report)
             return
         titles = self._sampler.title_block(n_arr)
         dep_times = table.departure[rows] if n_dep else _EMPTY_TIMES
@@ -822,9 +870,13 @@ class ServerRuntime:
                 if table.state[row] == TABLE_ACTIVE:
                     self._table_depart(float(table.departure[row]), row)
             else:
-                row, dep, _, reason, _ = self._table_arrival(
-                    float(t_arr), int(titles[i]))
+                now, title = float(t_arr), int(titles[i])
+                row, dep, served, reason, batched = self._table_arrival(
+                    now, title)
                 i += 1
+                if report is not None:
+                    report.append((now, title, row, served, reason, batched,
+                                   self._controller.admitted_streams))
                 if row >= 0 and (dep <= until if inclusive else dep < until):
                     heapq.heappush(extra, (dep, row))
                 elif row < 0 and i < n_arr and self._mode != "prefix":
@@ -839,16 +891,16 @@ class ServerRuntime:
                     boundary = dep_times[j] if j < n_dep else infinity
                     if extra and extra[0][0] < boundary:
                         boundary = extra[0][0]
-                    if boundary == infinity:
-                        self._bulk_reject(arrivals[i:], titles[i:], reason)
-                        break
-                    m = int(np.searchsorted(arrivals, boundary,
-                                            side="left"))
+                    m = (n_arr if boundary == infinity else
+                         int(np.searchsorted(arrivals, boundary,
+                                             side="left")))
                     if m > i:
                         self._bulk_reject(arrivals[i:m], titles[i:m],
-                                          reason)
+                                          reason, report)
                         i = m
         self._min_dep = table.min_departure()
+        if report:
+            sink(report)
 
     def _table_arrival(self, now: float, title: int
                        ) -> tuple[int, float, str | None, str | None, bool]:
@@ -936,13 +988,15 @@ class ServerRuntime:
         return sid, dep, served, None, False
 
     def _bulk_reject(self, times: np.ndarray, titles: np.ndarray,
-                     reason: str | None) -> None:
+                     reason: str | None,
+                     report: list[ArrivalRow] | None = None) -> None:
         """Reject a whole run of arrivals at once (saturated window).
 
         Event-for-event identical to calling :meth:`_table_arrival` on
         each entry when no admission can interleave: counters move by
         the block size, the placement observes the titles as one
-        scatter-add, and the audit log gains one REJECT per arrival.
+        scatter-add, and the audit log (and ``report``, when given)
+        gains one REJECT row per arrival.
         """
         n = len(times)
         self._arrivals_total += n
@@ -954,10 +1008,15 @@ class ServerRuntime:
         self._rejects_total += n
         self._metrics.count("rejects", n)
         append = self._events.append
-        for now, title in zip(times.tolist(), titles.tolist()):
+        pairs = list(zip(times.tolist(), titles.tolist()))
+        for now, title in pairs:
             append(SessionEvent(
                 time=now, kind=SessionEventKind.REJECT,
                 session_id=-1, title=title, reason=reason))
+        if report is not None:
+            streams = self._controller.admitted_streams
+            report.extend((now, title, -1, None, reason, False, streams)
+                          for now, title in pairs)
 
     def _table_reject(self, now: float, title: int, reason: str | None
                       ) -> tuple[int, float, str | None, str | None, bool]:
@@ -1447,13 +1506,7 @@ class ServerRuntime:
     def run(self) -> RuntimeResult:
         config = self.config
         sim = self._sim
-        if self._table is not None:
-            # No per-arrival calendar events: the whole Poisson chain
-            # drains in vectorized windows at control-timer boundaries.
-            # Seed it with the first draw the object core would make.
-            self._next_arrival = self._sampler.next_interarrival()
-        else:
-            self._schedule_arrival(sim)
+        self.start_arrivals(sim, self.handle_arrival)
         sim.every(config.epoch, self._on_epoch, "epoch")
         sim.every(config.metrics_interval, self._on_metrics, "metrics")
         for failure in sorted(config.failures, key=lambda e: e.time):

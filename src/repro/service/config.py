@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 from repro.core.parameters import SystemParameters
 from repro.core.popularity import (
@@ -53,12 +55,108 @@ CONFIG_SCHEMA_VERSION = 1
 _DEVICES = ("G3",)
 
 
+#: Scalar kinds of the typed pass over a config payload (each is the
+#: phrase its error message uses).
+_NUMBER = "a finite number"
+_OPTIONAL_NUMBER = "a finite number or null"
+_INTEGER = "an integer"
+_TEXT = "a string"
+
+_SYSTEM_TYPES = {name: _NUMBER for name in (
+    "bit_rate", "r_disk", "r_mems", "l_disk", "l_mems", "c_dram", "c_mems")}
+_SYSTEM_TYPES.update(k=_INTEGER, size_mems=_OPTIONAL_NUMBER,
+                     size_disk=_OPTIONAL_NUMBER)
+
+#: The type of every field of a config payload, keyed like the JSON.  A
+#: nested dict is a sub-object; a one-element list is a list of objects
+#: of that shape.  Keys a payload omits are skipped (defaults apply).
+_PAYLOAD_TYPES: dict = {
+    "configuration": _TEXT, "device": _TEXT, "session_core": _TEXT,
+    "dram_budget": _NUMBER, "horizon": _NUMBER, "seed": _INTEGER,
+    "system": _SYSTEM_TYPES,
+    "workload": {
+        "arrival_rate": _NUMBER, "mean_holding": _NUMBER,
+        "n_titles": _INTEGER,
+        "popularity": {"kind": _TEXT, "alpha": _OPTIONAL_NUMBER,
+                       "x_percent": _OPTIONAL_NUMBER,
+                       "y_percent": _OPTIONAL_NUMBER}},
+    "control": {
+        "epoch": _NUMBER, "metrics_interval": _NUMBER,
+        "replan_latency": _NUMBER,
+        "backpressure": {name: _NUMBER for name in (
+            "throttle_enter", "throttle_exit", "shed_enter", "shed_exit")}},
+    "placement": {name: _NUMBER for name in (
+        "decay", "prefix_safety", "prefix_floor", "batch_window")},
+    "timeline": {
+        "failures": [{"time": _NUMBER, "kind": _TEXT, "count": _INTEGER,
+                      "factor": _NUMBER}],
+        "drifts": [{"time": _NUMBER, "shift": _INTEGER}],
+        "surges": [{"time": _NUMBER, "factor": _NUMBER}],
+        "focuses": [{"time": _NUMBER, "title": _INTEGER,
+                     "weight": _NUMBER}]},
+}
+
+
+def _has_kind(value: object, kind: str) -> bool:
+    if kind == _TEXT:
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if kind == _INTEGER:
+        return isinstance(value, Integral)
+    if value is None:
+        return kind == _OPTIONAL_NUMBER
+    return isinstance(value, Real) and math.isfinite(value)
+
+
+def _check_types(payload: dict, types: dict, *, where: str = "") -> None:
+    """The typed pass: every present field has its declared kind.
+
+    Raises a :class:`ConfigurationError` naming the JSON path of the
+    first offending field (``workload.n_titles``,
+    ``timeline.surges[0].factor``), so no malformed value reaches a
+    constructor, numpy or the event engine.
+    """
+    for key, kind in types.items():
+        if key not in payload:
+            continue
+        value = payload[key]
+        path = f"{where}.{key}" if where else key
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise ConfigurationError(
+                    f"{path} must be an object, got {type(value).__name__}")
+            _check_types(value, kind, where=path)
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                raise ConfigurationError(
+                    f"{path} must be a list, got {type(value).__name__}")
+            for index, entry in enumerate(value):
+                entry_path = f"{path}[{index}]"
+                if not isinstance(entry, dict):
+                    raise ConfigurationError(
+                        f"{entry_path} must be an object, got "
+                        f"{type(entry).__name__}")
+                _check_types(entry, kind[0], where=entry_path)
+        elif not _has_kind(value, kind):
+            raise ConfigurationError(f"{path} must be {kind}, got {value!r}")
+
+
 def _require_keys(payload: dict, known: set[str], *, where: str) -> None:
     unknown = set(payload) - known
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in {where}; "
             f"known: {sorted(known)}")
+
+
+def _require_present(payload: dict, cls: type, *, where: str) -> None:
+    """Every field of dataclass ``cls`` without a default is in ``payload``."""
+    for spec in dataclasses.fields(cls):
+        if (spec.default is dataclasses.MISSING
+                and spec.default_factory is dataclasses.MISSING
+                and spec.name not in payload):
+            raise ConfigurationError(f"{where} is missing {spec.name!r}")
 
 
 def _require_finite_positive(value: float, *, where: str) -> None:
@@ -70,17 +168,14 @@ def _require_finite_positive(value: float, *, where: str) -> None:
 
 def _require_entries(payload: dict, name: str,
                      required: tuple[str, ...]) -> list[dict]:
-    """The ``timeline.<name>`` list, each entry an object with every
-    ``required`` key."""
+    """The ``timeline.<name>`` list, each entry (an object, by the typed
+    pass) with every ``required`` key."""
     entries = list(payload.get(name, ()))
     for index, entry in enumerate(entries):
-        where = f"timeline.{name}[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"{where} must be an object, got {type(entry).__name__}")
         for key in required:
             if key not in entry:
-                raise ConfigurationError(f"{where} is missing {key!r}")
+                raise ConfigurationError(
+                    f"timeline.{name}[{index}] is missing {key!r}")
     return entries
 
 
@@ -138,12 +233,7 @@ class SystemConfig:
     def from_dict(cls, payload: dict) -> "SystemConfig":
         _require_keys(payload, {f.name for f in dataclasses.fields(cls)},
                       where="system")
-        for key, value in payload.items():
-            if value is None and key in ("size_mems", "size_disk"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"system.{key} must be a number, got {value!r}")
+        _require_present(payload, cls, where="system")
         return cls(**payload)
 
 
@@ -202,7 +292,8 @@ class PopularityConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "PopularityConfig":
         _require_keys(payload, {f.name for f in dataclasses.fields(cls)},
-                      where="popularity")
+                      where="workload.popularity")
+        _require_present(payload, cls, where="workload.popularity")
         return cls(**payload)
 
 
@@ -248,6 +339,7 @@ class WorkloadConfig:
     def from_dict(cls, payload: dict) -> "WorkloadConfig":
         _require_keys(payload, {f.name for f in dataclasses.fields(cls)},
                       where="workload")
+        _require_present(payload, cls, where="workload")
         payload = dict(payload)
         payload["popularity"] = PopularityConfig.from_dict(
             payload["popularity"])
@@ -305,16 +397,13 @@ class ControlConfig:
         default_factory=BackpressureConfig)
 
     def __post_init__(self) -> None:
-        if self.epoch <= 0:
+        _require_finite_positive(self.epoch, where="control.epoch")
+        _require_finite_positive(self.metrics_interval,
+                                 where="control.metrics_interval")
+        if not 0 <= self.replan_latency < float("inf"):
             raise ConfigurationError(
-                f"epoch must be > 0, got {self.epoch!r}")
-        if self.metrics_interval <= 0:
-            raise ConfigurationError(
-                f"metrics_interval must be > 0, got "
-                f"{self.metrics_interval!r}")
-        if self.replan_latency < 0:
-            raise ConfigurationError(
-                f"replan_latency must be >= 0, got {self.replan_latency!r}")
+                f"control.replan_latency must be finite and >= 0, got "
+                f"{self.replan_latency!r}")
         if self.replan_latency >= self.epoch:
             raise ConfigurationError(
                 f"replan_latency must be < epoch, got "
@@ -529,11 +618,8 @@ class RuntimeConfig:
                  "seed", "device", "system", "workload", "control",
                  "placement", "timeline", "session_core"}
         _require_keys(payload, known, where="runtime config")
-        for required in ("configuration", "dram_budget", "horizon",
-                         "system", "workload"):
-            if required not in payload:
-                raise ConfigurationError(
-                    f"runtime config is missing {required!r}")
+        _require_present(payload, cls, where="runtime config")
+        _check_types(payload, _PAYLOAD_TYPES)
         return cls(
             configuration=payload["configuration"],
             dram_budget=payload["dram_budget"],

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.runtime.failures import FailureEvent
 from repro.runtime.runtime import (
+    ArrivalRow,
     DriftEvent,
     FocusEvent,
     RuntimeResult,
@@ -113,6 +114,7 @@ class MediaService:
         self._replan_inflight = False
         self._replan_started_at = 0.0
         self._draining = False
+        self.engine.arrival_sink = self._on_arrivals
 
     # -- Internals -----------------------------------------------------------
 
@@ -130,23 +132,85 @@ class MediaService:
 
     def _load(self) -> float:
         """Admission load fraction: admitted streams over capacity."""
-        admitted = self.engine.controller.admitted_streams
-        capacity = self.engine.controller.capacity()
+        controller = self.engine.controller
+        return self._load_of(controller.admitted_streams,
+                             controller.capacity())
+
+    def _load_of(self, admitted: int, capacity: int) -> float:
         if capacity <= 0:
             return 0.0 if admitted == 0 else self.governor.config.shed_enter
         return admitted / capacity
 
     def _update_backpressure(self) -> None:
         """Fold the current load in; publish one event per transition."""
-        self._fold_load(self._load())
+        self._fold_load(self._load(), self.engine.sim.now)
 
-    def _fold_load(self, load: float) -> None:
+    def _fold_load(self, load: float, time: float) -> None:
         transition = self.governor.update(load)
         if transition is not None:
             previous, state = transition
             self.bus.publish(BackpressureChanged(
-                time=self.engine.sim.now, previous=previous.value,
-                state=state.value, load=load))
+                time=time, previous=previous.value, state=state.value,
+                load=load))
+
+    def _hold_arrivals(self) -> None:
+        """Tell the engine whether self-driven arrivals may be admitted."""
+        self.engine.hold_arrivals = self._replan_inflight or self._draining
+
+    def _on_arrivals(self, rows: list[ArrivalRow]) -> None:
+        """Publish one drained window of self-driven arrivals.
+
+        The engine's arrival sink on the table core (see
+        :meth:`ServerRuntime.start_arrivals
+        <repro.runtime.runtime.ServerRuntime.start_arrivals>`): event
+        for event what :meth:`admit` publishes when the object core's
+        chain calls it once per arrival, stamped with each arrival's
+        own time.  Ticket ids advance, but a finalized arrival builds no
+        :class:`AdmitTicket` — nobody would hold it.  Held arrivals
+        carry no title: behind a replan they park as PENDING tickets
+        (their titles are drawn at replan-done), and while draining
+        they are refused.
+        """
+        publish = self.bus.publish
+        next_id = self._next_ticket
+        if self._draining:
+            for row in rows:
+                publish(SessionRejected(time=row[0], ticket_id=next_id,
+                                        title=None, reason="draining"))
+                next_id += 1
+        elif self._replan_inflight:
+            for row in rows:
+                ticket = AdmitTicket(ticket_id=next_id,
+                                     state=TicketState.PENDING,
+                                     created_at=row[0])
+                self._pending.append(ticket)
+                publish(AdmitPending(time=row[0], ticket_id=next_id,
+                                     title=None))
+                next_id += 1
+        else:
+            capacity = self.engine.controller.capacity()
+            load_of = self._load_of
+            fold = self._fold_load
+            last_load: float | None = None
+            for row in rows:
+                time, title, session_id, served_by, reason, _, streams = row
+                if session_id >= 0:
+                    publish(SessionAdmitted(
+                        time=time, ticket_id=next_id, session_id=session_id,
+                        title=title, served_by=served_by))
+                else:
+                    publish(SessionRejected(
+                        time=time, ticket_id=next_id, title=title,
+                        reason=reason))
+                next_id += 1
+                load = load_of(streams, capacity)
+                if load != last_load:
+                    # An unchanged load is a governor no-op (see
+                    # :meth:`admit_block`).
+                    fold(load, time)
+                    last_load = load
+        self._tickets_issued += next_id - self._next_ticket
+        self._next_ticket = next_id
 
     def _block_loads(self, outcomes) -> list[float]:
         """The load fraction each outcome's bookkeeping must observe.
@@ -161,17 +225,13 @@ class MediaService:
         """
         controller = self.engine.controller
         capacity = controller.capacity()
-        shed_enter = self.governor.config.shed_enter
         fresh = sum(1 for o in outcomes if o.admitted and not o.batched)
         running = controller.admitted_streams - fresh
         loads = []
         for outcome in outcomes:
             if outcome.admitted and not outcome.batched:
                 running += 1
-            if capacity <= 0:
-                loads.append(0.0 if running == 0 else shed_enter)
-            else:
-                loads.append(running / capacity)
+            loads.append(self._load_of(running, capacity))
         return loads
 
     # -- Facade operations ---------------------------------------------------
@@ -202,6 +262,9 @@ class MediaService:
         workload's seeded popularity stream.
         """
         sim = self.engine.sim
+        # Self-driven arrivals due before this call get their tickets
+        # first (a no-op unless the table core drains them lazily).
+        self.engine.sync(sim)
         if self._draining:
             ticket = self._new_ticket(TicketState.REJECTED, title=title,
                                       reason="draining",
@@ -242,9 +305,10 @@ class MediaService:
             if count is not None and count != len(wanted):
                 raise ConfigurationError(
                     f"count {count} != len(titles) {len(wanted)}")
+        sim = self.engine.sim
+        self.engine.sync(sim)
         if self._draining:
             return [self.admit(title) for title in wanted]
-        sim = self.engine.sim
         if self._replan_inflight:
             # The whole burst parks; no engine work until replan-done.
             parked: list[AdmitTicket] = []
@@ -291,7 +355,7 @@ class MediaService:
                 # ``governor.update`` at an unchanged load is a no-op
                 # (the state machine is a fixpoint of its own verdicts),
                 # so only the first ticket of an equal-load run folds.
-                fold(load)
+                fold(load, now)
                 last_load = load
             append(ticket)
         self._tickets_issued += next_id - self._next_ticket
@@ -334,12 +398,13 @@ class MediaService:
                 time=sim.now, ticket_id=ticket.ticket_id,
                 title=outcome.title, reason=outcome.reason,
                 was_pending=was_pending))
-        self._fold_load(self._load() if load is None else load)
+        self._fold_load(self._load() if load is None else load, sim.now)
         return ticket
 
     def teardown(self, session_id: int) -> bool:
         """Close one live session early; True when it was live."""
         sim = self.engine.sim
+        self.engine.sync(sim)
         session = self.engine.close_session(sim, session_id)
         if session is None:
             return False
@@ -384,6 +449,7 @@ class MediaService:
             raise ConfigurationError(
                 "focus_title and focus_weight go together")
         sim = self.engine.sim
+        self.engine.sync(sim)
         changes: list[str] = []
         if rate_factor is not None:
             self.engine.apply_surge(
@@ -422,6 +488,7 @@ class MediaService:
         self.engine.sync(self.engine.sim)
         if not self._draining:
             self._draining = True
+            self._hold_arrivals()
             self.bus.publish(DrainStarted(
                 time=self.engine.sim.now,
                 active_sessions=self.engine.active_sessions))
@@ -450,15 +517,21 @@ class MediaService:
             return
         if self._replan_inflight:  # pragma: no cover - latency < epoch
             return
+        # Arrivals before the window are admitted under the old plan.
+        self.engine.sync(sim)
         self._replan_inflight = True
+        self._hold_arrivals()
         self._replan_started_at = sim.now
         self.bus.publish(ReplanStarted(time=sim.now, reason="epoch"))
         sim.after(latency, self._finish_replan, "replan-done")
 
     def _finish_replan(self, sim) -> None:
         """The replan-done event: swap the plan, finalize parked tickets."""
-        self.engine.run_epoch(sim)
+        # Arrivals still inside the window park before it closes.
+        self.engine.sync(sim)
         self._replan_inflight = False
+        self._hold_arrivals()
+        self.engine.run_epoch(sim)
         parked, self._pending = self._pending, []
         finalized = len(parked)
         if self._draining:

@@ -1,23 +1,30 @@
 """Traffic programs: a scenario's stochastic load as API calls.
 
-The legacy :meth:`~repro.runtime.runtime.ServerRuntime.run` loop bakes
-the traffic into the engine — Poisson arrivals, epoch and metrics
-timers, and the scheduled timeline all live in one method.
-:class:`TrafficProgram` lifts exactly that schedule out and drives it
-through the :class:`~repro.service.facade.MediaService` API instead:
-arrivals become :meth:`~repro.service.facade.MediaService.admit`,
+:class:`TrafficProgram` replays one scenario's schedule — the Poisson
+arrival chain, the epoch and metrics timers and the timeline — against
+the :class:`~repro.service.facade.MediaService` API instead of the
+engine's own :meth:`~repro.runtime.runtime.ServerRuntime.run` loop:
 epochs become :meth:`~repro.service.facade.MediaService.on_epoch`,
 surges/drifts/focuses become
 :meth:`~repro.service.facade.MediaService.reconfigure`, and failures
 become :meth:`~repro.service.facade.MediaService.inject_failure`.
 
+The arrival chain starts through the engine's
+:meth:`~repro.runtime.runtime.ServerRuntime.start_arrivals`, the same
+call ``run`` makes, so it follows the session core.  On the object core
+every arrival is a calendar event that calls
+:meth:`~repro.service.facade.MediaService.admit`.  On the table core no
+arrival reaches the calendar: each control point drains the chain up to
+its own time in one vectorized window, and the facade publishes the
+window's tickets from the engine's per-arrival report.  Either way the
+bus sees the same events with the same times and ticket ids.
+
 Parity is load-bearing here: the program schedules the same callbacks
 in the same order with the same labels and draws the seeded RNG in the
-same sequence (interarrival, then title, then holding-if-admitted) as
-the legacy loop, so with the default synchronous replans the run's
-JSON output is byte-identical — :mod:`repro.service.parity` holds it
-there.  A cluster dispatcher later swaps this program for real demand
-without touching the engine.
+same sequence as the ``run`` loop, so with the default synchronous
+replans the run's JSON output is byte-identical —
+:mod:`repro.service.parity` holds it there.  A cluster dispatcher later
+swaps this program for real demand without touching the engine.
 """
 
 from __future__ import annotations
@@ -36,14 +43,6 @@ class TrafficProgram:
         self.service = service
 
     # -- Schedule pieces (one per legacy run-loop line) ----------------------
-
-    def _schedule_arrival(self, sim) -> None:
-        delay = self.service.engine.sampler.next_interarrival()
-        sim.after(delay, self._on_arrival, "arrival")
-
-    def _on_arrival(self, sim) -> None:
-        self.service.admit()
-        self._schedule_arrival(sim)
 
     def _make_failure(self, event: FailureEvent):
         def fail(sim) -> None:
@@ -78,7 +77,7 @@ class TrafficProgram:
         sim = service.sim
         config = service.config
         timeline = config.timeline
-        self._schedule_arrival(sim)
+        service.engine.start_arrivals(sim, lambda sim: service.admit())
         sim.every(config.control.epoch, service.on_epoch, "epoch")
         sim.every(config.control.metrics_interval,
                   service.engine.seal_metrics, "metrics")

@@ -1,6 +1,7 @@
 """The declarative RuntimeConfig tree: validation, JSON, compilation."""
 
 import json
+import re
 
 import pytest
 
@@ -179,6 +180,53 @@ class TestMalformedJson:
                            match=r"timeline\.failures\[0\]\.kind"):
             _from_json_with(
                 lambda p: p["timeline"]["failures"][0].update(kind="meteor"))
+
+    @pytest.mark.parametrize("path, edit", [
+        ("workload.arrival_rate",
+         lambda p: p["workload"].update(arrival_rate="fast")),
+        ("workload.mean_holding",
+         lambda p: p["workload"].update(mean_holding="long")),
+        ("workload.n_titles", lambda p: p["workload"].update(n_titles="9")),
+        ("workload.popularity.alpha",
+         lambda p: p["workload"]["popularity"].update(alpha="steep")),
+        ("control.epoch", lambda p: p["control"].update(epoch="hourly")),
+        ("placement.decay", lambda p: p["placement"].update(decay="slow")),
+        ("dram_budget", lambda p: p.update(dram_budget="50MB")),
+        ("horizon", lambda p: p.update(horizon="1h")),
+        ("timeline.surges[0].factor", lambda p: p["timeline"].update(
+            surges=[{"time": 10.0, "factor": "x2"}])),
+    ])
+    def test_rejects_strings_naming_the_path(self, path, edit):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(path)} must be "):
+            _from_json_with(edit)
+
+    def test_rejects_a_string_seed(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^seed must be an integer"):
+            _from_json_with(lambda p: p.update(seed="x"))
+
+    def test_rejects_fractional_title_count(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^workload\.n_titles must be an integer"):
+            _from_json_with(lambda p: p["workload"].update(n_titles=2.5))
+
+    @pytest.mark.parametrize("key", ["replan_latency", "metrics_interval"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_control_times(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^control\.{key} must be a finite"):
+            _from_json_with(lambda p: p["control"].update({key: value}))
+
+    def test_rejects_a_sub_config_that_is_not_an_object(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^control must be an object"):
+            _from_json_with(lambda p: p.update(control=[1]))
+
+    def test_rejects_a_missing_workload_field(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^workload is missing 'arrival_rate'"):
+            _from_json_with(lambda p: p["workload"].pop("arrival_rate"))
 
 
 class TestCompilation:
