@@ -181,8 +181,8 @@ DEFAULT_LAYERS = LayerSpec(
         ("runtime", ("core", "devices", "perf", "planner", "scheduling",
                      "simulation", "vod", "workloads")),
         ("scheduling", ("core", "devices", "planner")),
-        ("service", ("core", "devices", "planner", "runtime", "scheduling",
-                     "simulation", "vod", "workloads")),
+        ("service", ("core", "devices", "perf", "planner", "runtime",
+                     "scheduling", "simulation", "vod", "workloads")),
         ("simulation", ("core", "devices", "scheduling")),
         ("vod", ("core", "planner")),
         ("workloads", ("core",)),
@@ -205,9 +205,6 @@ DEFAULT_LAYERS = LayerSpec(
         ("perf/bench.py", (ANY_LAYER,)),
         # The package facade re-exports the public API of every layer.
         ("repro/__init__.py", (ANY_LAYER,)),
-        # Legacy scenario factories are thin shims over the service
-        # catalogue (PR 7); the dependency is one lazy import.
-        ("runtime/scenarios.py", ("service",)),
     ),
 )
 

@@ -186,14 +186,11 @@ def _run_lint(args: argparse.Namespace) -> int:
 def _run_runtime(args: argparse.Namespace) -> int:
     """The ``runtime`` subcommand: run a scenario, print the dashboard."""
     from repro.errors import ConfigurationError
-    from repro.runtime.scenarios import (
-        SCENARIOS,
+    from repro.service.scenarios import (
+        SERVICE_SCENARIOS,
+        build_service_scenario,
         run_scenario,
         run_scenario_batch,
-    )
-    from repro.service.scenarios import (
-        build_service_scenario,
-        require_known_scenario,
     )
 
     if args.config is not None:
@@ -239,7 +236,7 @@ def _run_runtime(args: argparse.Namespace) -> int:
             print(f"wrote {args.emit_config}", file=sys.stderr)
         return 0
     if args.scenario == "list":
-        for name, factory in SCENARIOS.items():
+        for name, factory in SERVICE_SCENARIOS.items():
             doc = (factory.__doc__ or "").strip().splitlines()[0]
             print(f"{name:>20}  {doc}")
         return 0
@@ -261,9 +258,6 @@ def _run_runtime(args: argparse.Namespace) -> int:
                 _json.dump(payload, handle, indent=2)
             print(f"wrote {args.json}", file=sys.stderr)
         return 0
-    # Fail on a bad name before anything heavy runs — and through the
-    # one canonical validator, so the error text has a single home.
-    require_known_scenario(args.scenario)
     result = run_scenario(args.scenario, seed=seed,
                           horizon=args.horizon)
     print(result.dashboard())

@@ -65,7 +65,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.errors import ConfigurationError
@@ -301,15 +301,19 @@ def bench_runtime_scenario(preset: str) -> dict[str, float]:
     ``events_executed`` is reported informationally.
     """
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
 
     scale = _scale(preset)
     horizon = scale["horizon"]
     # Build the config outside the timed region: the factory's one-time
     # service-package import must not land in a single-repeat wall time.
-    config = build_scenario("device-failure", seed=7, horizon=horizon)
-    config.workload.scale_rate(scale["runtime_rate"])
-    config.session_core = "table"
+    base = build_service_scenario("device-failure", seed=7,
+                                  horizon=horizon)
+    config = base.replace(
+        workload=replace(
+            base.workload,
+            arrival_rate=base.workload.arrival_rate * scale["runtime_rate"]),
+        session_core="table").to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -339,14 +343,16 @@ def bench_million_sessions(preset: str) -> dict[str, float]:
     sessions per wall second).
     """
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
 
     scale = _scale(preset)
-    config = build_scenario("steady-disk", seed=5,
-                            horizon=scale["million_horizon"])
-    config.session_core = "table"
-    config.workload.arrival_rate = scale["million_rate"]
-    config.workload.mean_holding = scale["million_holding"]
+    base = build_service_scenario("steady-disk", seed=5,
+                                  horizon=scale["million_horizon"])
+    config = base.replace(
+        workload=replace(
+            base.workload, arrival_rate=scale["million_rate"],
+            mean_holding=scale["million_holding"]),
+        session_core="table").to_legacy()
     start = _elapsed()
     result = run_runtime(config)
     wall = _elapsed() - start
@@ -551,19 +557,19 @@ def bench_flash_crowd(preset: str) -> dict[str, float]:
     from repro.core.parameters import SystemParameters
     from repro.planner.solver import Planner
     from repro.runtime.runtime import run_runtime
-    from repro.runtime.scenarios import build_scenario
+    from repro.service.scenarios import build_service_scenario
     from repro.units import GB, KB
     from repro.vod.placement import PrefixPlacement
 
     scale = _scale(preset)
     horizon = scale["vod_horizon"]
     start = _elapsed()
-    prefix_result = run_runtime(build_scenario("flash_crowd", seed=11,
-                                               horizon=horizon))
+    config = build_service_scenario("flash_crowd", seed=11,
+                                    horizon=horizon)
+    prefix_result = run_runtime(config.to_legacy())
     wall = _elapsed() - start
-    whole_config = build_scenario("flash_crowd", seed=11, horizon=horizon)
-    whole_config.configuration = "cache"
-    whole_result = run_runtime(whole_config)
+    whole_result = run_runtime(
+        config.replace(configuration="cache").to_legacy())
 
     epochs = int(scale["replan_epochs"])
     n_titles = int(scale["replan_titles"])

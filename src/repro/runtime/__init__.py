@@ -19,12 +19,6 @@ from repro.runtime.runtime import (
     SurgeEvent,
     run_runtime,
 )
-from repro.runtime.scenarios import (
-    SCENARIOS,
-    build_scenario,
-    run_scenario,
-    run_scenario_batch,
-)
 from repro.runtime.sessions import (
     Session,
     SessionEvent,
@@ -45,17 +39,13 @@ __all__ = [
     "RecoveryPlan",
     "RuntimeConfig",
     "RuntimeResult",
-    "SCENARIOS",
     "ServerRuntime",
     "Session",
     "SessionEvent",
     "SessionEventKind",
     "SessionWorkload",
     "SurgeEvent",
-    "build_scenario",
     "plan_recovery",
     "render_dashboard",
     "run_runtime",
-    "run_scenario",
-    "run_scenario_batch",
 ]

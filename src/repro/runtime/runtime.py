@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class RuntimeConfig:
     #: in vectorized chunks and harvests departures by masked scans at
     #: control-timer boundaries.  Both cores consume the same
     #: purpose-split RNG streams, so their metrics JSON is byte
-    #: identical (see ``repro.runtime.parity``).
+    #: identical (see ``repro.service.parity``).
     session_core: str = "objects"
 
     def __post_init__(self) -> None:
@@ -346,8 +346,11 @@ class ServerRuntime:
 
     def __init__(self, config: RuntimeConfig) -> None:
         self.config = config
+        #: The run's own workload: drifts, surges and focuses move its
+        #: control state, never the config's, so one config replays.
+        self.workload = replace(config.workload)
         self._rng = np.random.default_rng(config.seed)
-        self._sampler = SessionSampler(config.workload, config.seed)
+        self._sampler = SessionSampler(self.workload, config.seed)
         self._sim = Simulator()
         self._events: list[SessionEvent] = []
         self._metrics = MetricsLog()
@@ -390,7 +393,7 @@ class ServerRuntime:
         self._bank: MemsBank | None = MemsBank(
             config.device, config.params.k, BankPolicy.ROUND_ROBIN)
 
-        workload = config.workload
+        workload = self.workload
         self._placement: AdaptivePlacement | None = None
         self._prefix: PrefixPlacement | None = None
         self._prefix_decision: PrefixDecision | None = None
@@ -1313,7 +1316,7 @@ class ServerRuntime:
             if self._degraded_since is None:
                 self._degraded_since = sim.now
             return
-        popularity = self.config.workload.popularity
+        popularity = self.workload.popularity
         if self._placement is not None:
             # Judge recovery against the observed traffic, not the
             # configured distribution.
@@ -1361,17 +1364,17 @@ class ServerRuntime:
     def apply_drift(self, sim: Simulator, event: DriftEvent) -> None:
         """Rotate the title ranking (popularity drift)."""
         self._pre_control(sim)
-        self.config.workload.rotate_popularity(event.shift)
+        self.workload.rotate_popularity(event.shift)
 
     def apply_surge(self, sim: Simulator, event: SurgeEvent) -> None:
         """Scale the arrival rate (flash crowd)."""
         self._pre_control(sim)
-        self.config.workload.scale_rate(event.factor)
+        self.workload.scale_rate(event.factor)
 
     def apply_focus(self, sim: Simulator, event: FocusEvent) -> None:
         """Concentrate arrivals onto one title (focused crowd)."""
         self._pre_control(sim)
-        self.config.workload.focus_title(event.title, event.weight)
+        self.workload.focus_title(event.title, event.weight)
 
     def _make_drift(self, event: DriftEvent):
         def drift(sim: Simulator) -> None:
@@ -1436,7 +1439,7 @@ class ServerRuntime:
 
     def _on_metrics(self, sim: Simulator) -> None:
         self._pre_control(sim)
-        workload = self.config.workload
+        workload = self.workload
         n = self._session_count()
         n_cache = self._cache_session_count()
         try:
@@ -1548,7 +1551,7 @@ class ServerRuntime:
             final_dram = self._controller.dram_required()
         except (AdmissionError, CapacityError):  # pragma: no cover
             final_dram = float("inf")
-        notes = {"offered_load": config.workload.offered_load,
+        notes = {"offered_load": self.workload.offered_load,
                  "seed": float(config.seed)}
         if self._batcher is not None:
             notes["fanout_sessions_per_stream"] = self._batcher.fanout

@@ -7,9 +7,11 @@ The long-running face of the runtime: a declarative
 replans run off the request path, whose backpressure regime is an
 explicit published state, and whose every control-plane action lands
 as a typed event on an :class:`~repro.service.events.EventBus`.
-:class:`~repro.service.traffic.TrafficProgram` replays the named
-scenarios through that API, and :mod:`repro.service.parity` proves the
-replay byte-identical to the legacy batch loop.
+:mod:`repro.service.scenarios` is the one registry of named
+scenarios; :class:`~repro.service.traffic.TrafficProgram` replays them
+through that API.  :mod:`repro.service.parity` is the one parity
+harness: it proves the replay byte-identical to the engine's batch
+loop, and the table session core identical to the object core.
 """
 
 from repro.service.backpressure import (
@@ -45,7 +47,6 @@ from repro.service.events import (
     SessionRejected,
 )
 from repro.service.facade import AdmitTicket, MediaService, TicketState
-from repro.service.parity import compare_scenario, verify_all
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
     build_service_scenario,
@@ -86,8 +87,6 @@ __all__ = [
     "TrafficProgram",
     "WorkloadConfig",
     "build_service_scenario",
-    "compare_scenario",
     "require_known_scenario",
     "run_service",
-    "verify_all",
 ]

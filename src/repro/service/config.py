@@ -11,11 +11,9 @@ Everything a :class:`~repro.service.facade.MediaService` needs is one
 * serialises losslessly to/from JSON (``mems-repro runtime --config``
   accepts the file; ``--emit-config`` writes one for any named
   scenario, so users fork scenarios declaratively),
-* compiles to the imperative objects the engine runs on
-  (:meth:`RuntimeConfig.to_legacy`) and lifts back out of them
-  (:meth:`RuntimeConfig.from_legacy`), both directions exact — the
-  parity harness relies on ``to_legacy`` reproducing the pre-refactor
-  configs bit for bit.
+* compiles, one way, to the imperative config the engine runs on
+  (:meth:`RuntimeConfig.to_legacy`); the golden scenario digests rely
+  on that compilation reproducing the pre-refactor configs bit for bit.
 
 The shape follows the jeeves ``ExecutionConfig`` exemplar (SNIPPETS.md
 snippet 2): bounds, timeouts, seeds and feature flags grouped into
@@ -258,21 +256,6 @@ class PopularityConfig:
             raise ConfigurationError(
                 "bimodal popularity needs x_percent and y_percent")
 
-    @classmethod
-    def from_distribution(cls,
-                          popularity: PopularityDistribution
-                          ) -> "PopularityConfig":
-        if isinstance(popularity, ZipfPopularity):
-            return cls(kind="zipf", alpha=popularity.alpha)
-        if isinstance(popularity, BimodalPopularity):
-            return cls(kind="bimodal", x_percent=popularity.x_percent,
-                       y_percent=popularity.y_percent)
-        if isinstance(popularity, UniformPopularity):
-            return cls(kind="uniform")
-        raise ConfigurationError(
-            f"cannot express {type(popularity).__name__} declaratively; "
-            f"supported: zipf, bimodal, uniform")
-
     def to_distribution(self, n_titles: int) -> PopularityDistribution:
         if self.kind == "zipf":
             return ZipfPopularity(alpha=self.alpha, n_titles=n_titles)
@@ -320,14 +303,6 @@ class WorkloadConfig:
             arrival_rate=self.arrival_rate, mean_holding=self.mean_holding,
             n_titles=self.n_titles,
             popularity=self.popularity.to_distribution(self.n_titles))
-
-    @classmethod
-    def from_workload(cls, workload: SessionWorkload) -> "WorkloadConfig":
-        return cls(arrival_rate=workload.arrival_rate,
-                   mean_holding=workload.mean_holding,
-                   n_titles=workload.n_titles,
-                   popularity=PopularityConfig.from_distribution(
-                       workload.popularity))
 
     def to_dict(self) -> dict:
         return {"arrival_rate": self.arrival_rate,
@@ -515,12 +490,14 @@ class RuntimeConfig:
             raise ConfigurationError(
                 f"dram_budget must be >= 0, got {self.dram_budget!r}")
         _require_finite_positive(self.horizon, where="horizon")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         if self.device not in _DEVICES:
             raise ConfigurationError(
                 f"unknown device {self.device!r}; available: "
                 f"{', '.join(_DEVICES)}")
 
-    # -- Compilation to/from the imperative layer ------------------------
+    # -- Compilation to the imperative layer -----------------------------
 
     def to_legacy(self) -> LegacyRuntimeConfig:
         """Compile to the engine's imperative config (exact)."""
@@ -545,44 +522,6 @@ class RuntimeConfig:
             batch_window=self.placement.batch_window,
             seed=self.seed,
             session_core=self.session_core)
-
-    @classmethod
-    def from_legacy(cls, legacy: LegacyRuntimeConfig, *,
-                    control: ControlConfig | None = None) -> "RuntimeConfig":
-        """Lift an imperative config into the declarative tree.
-
-        Only configs expressible declaratively round-trip: the workload
-        must carry a named popularity distribution and the device must
-        be the catalog G3.  ``control`` optionally overrides the
-        service-only knobs (replan latency, backpressure thresholds)
-        that the legacy config has no spelling for.
-        """
-        from repro.devices.catalog import MEMS_G3
-
-        if legacy.device is not MEMS_G3:
-            raise ConfigurationError(
-                "only the catalog G3 MEMS device is expressible "
-                "declaratively")
-        if control is None:
-            control = ControlConfig(epoch=legacy.epoch,
-                                    metrics_interval=legacy.metrics_interval)
-        return cls(
-            configuration=legacy.configuration,
-            dram_budget=legacy.dram_budget,
-            horizon=legacy.horizon,
-            system=SystemConfig.from_params(legacy.params),
-            workload=WorkloadConfig.from_workload(legacy.workload),
-            control=control,
-            placement=PlacementConfig(decay=legacy.placement_decay,
-                                      prefix_safety=legacy.prefix_safety,
-                                      prefix_floor=legacy.prefix_floor,
-                                      batch_window=legacy.batch_window),
-            timeline=TimelineConfig(failures=legacy.failures,
-                                    drifts=legacy.drifts,
-                                    surges=legacy.surges,
-                                    focuses=legacy.focuses),
-            seed=legacy.seed,
-            session_core=legacy.session_core)
 
     # -- Serialisation ----------------------------------------------------
 

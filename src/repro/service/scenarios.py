@@ -1,22 +1,27 @@
-"""The nine named scenarios, declaratively.
+"""The nine named scenarios: the one scenario registry.
 
-This module is the single source of truth for scenario names and
-contents: each factory returns a frozen
-:class:`~repro.service.config.RuntimeConfig` tree (so any scenario
-serialises to JSON via ``mems-repro runtime --emit-config``), the
-legacy factories in :mod:`repro.runtime.scenarios` are thin
-``.to_legacy()`` shims over these, and
-:func:`require_known_scenario` is the one place an unknown scenario
-name turns into an error — the CLI and both scenario registries route
-through it.
+Each factory returns a frozen :class:`~repro.service.config.RuntimeConfig`
+tree, so any scenario serialises to JSON via ``mems-repro runtime
+--emit-config`` and compiles to the engine's config with
+``.to_legacy()``.  Same name + seed + horizon => identical run
+(admissions, migrations, drops and metrics all derive from seeded
+generators).  :func:`require_known_scenario` is the one place an
+unknown scenario name turns into an error; :func:`run_scenario` and
+:func:`run_scenario_batch` run scenarios on the engine's batch loop
+for the CLI and the benchmarks.
 
-The numbers are transcribed exactly from the pre-refactor factories
-(the parity harness in :mod:`repro.service.parity` holds both paths to
-byte-identical output); see the legacy module docstring for the
-library-sizing rationale.  ``overload`` is the one scenario born
-declarative: a plain-disk run offered ~3x its admission capacity, the
-regime where the backpressure governor lives in ``SHEDDING`` and the
-service facade's explicit states earn their keep.
+The content library is modelled as 100 equal-sized titles on a 200 GB
+slice of the disk, so the ``k = 2`` G3 bank caches the top 5-10% of the
+catalogue depending on policy — enough for the adaptive placement to
+matter without trivialising the disk path.
+
+The VoD prefix-mode scenarios use *underscored* names (``flash_crowd``,
+``diurnal_drift``, ``long_tail``); the older hyphenated ``flash-crowd``
+is a plain-disk rate surge and coexists — they answer different
+questions (loss-system blocking vs. multicast fan-out economics).
+``overload`` is a plain-disk run offered ~3x its admission capacity,
+the regime where the backpressure governor lives in ``SHEDDING`` and
+the service facade's explicit states earn their keep.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from collections.abc import Callable
 from repro.core.parameters import SystemParameters
 from repro.errors import ConfigurationError
 from repro.runtime.failures import FailureEvent, FailureKind
-from repro.runtime.runtime import DriftEvent, FocusEvent, SurgeEvent
+from repro.runtime.runtime import (
+    DriftEvent,
+    FocusEvent,
+    RuntimeResult,
+    SurgeEvent,
+    run_runtime,
+)
 from repro.service.config import (
     ControlConfig,
     PopularityConfig,
@@ -37,7 +48,7 @@ from repro.service.config import (
 )
 from repro.units import GB, KB, MB
 
-#: Library size: 100 titles on a 200 GB disk slice (see legacy module).
+#: Library size: 100 titles on a 200 GB disk slice (see module docstring).
 _N_TITLES = 100
 _LIBRARY_BYTES = 200 * GB
 _BIT_RATE = 500 * KB
@@ -249,8 +260,8 @@ SERVICE_SCENARIOS: dict[str, Callable[..., RuntimeConfig]] = {
 def require_known_scenario(name: str) -> Callable[..., RuntimeConfig]:
     """Look up a scenario factory; THE canonical unknown-name error.
 
-    Every surface that takes a scenario name — the legacy registry,
-    the CLI's ``runtime`` subcommand, ``--emit-config`` — routes
+    Every surface that takes a scenario name — the CLI's ``runtime``
+    subcommand, ``--emit-config``, :func:`run_scenario_batch` — routes
     through here, so the error text (and the list of names in it) has
     exactly one home.
     """
@@ -271,3 +282,37 @@ def build_service_scenario(name: str, *, seed: int = 0,
     if horizon <= 0:
         raise ConfigurationError(f"horizon must be > 0, got {horizon!r}")
     return factory(seed=seed, horizon=horizon)
+
+
+def run_scenario(name: str, *, seed: int = 0,
+                 horizon: float | None = None) -> RuntimeResult:
+    """Build and run a named scenario on the engine's batch loop."""
+    return run_runtime(build_service_scenario(
+        name, seed=seed, horizon=horizon).to_legacy())
+
+
+def _run_scenario_item(
+        item: tuple[str, int, float | None]) -> RuntimeResult:
+    """Worker: one named scenario (picklable; seed rides in the item)."""
+    name, seed, horizon = item
+    return run_scenario(name, seed=seed, horizon=horizon)
+
+
+def run_scenario_batch(names: list[str] | None = None, *, seed: int = 0,
+                       horizon: float | None = None,
+                       jobs: int = 1) -> dict[str, RuntimeResult]:
+    """Run several scenarios (default: all), optionally in parallel.
+
+    Each scenario builds its own private planner and seeded generators
+    from ``(name, seed, horizon)``, so fanning out over processes via
+    :func:`repro.perf.parallel.sweep_map` returns exactly the results a
+    serial loop would.
+    """
+    from repro.perf.parallel import sweep_map
+
+    selected = list(SERVICE_SCENARIOS) if names is None else list(names)
+    for name in selected:
+        require_known_scenario(name)
+    items = [(name, seed, horizon) for name in selected]
+    results = sweep_map(_run_scenario_item, items, jobs=jobs)
+    return dict(zip(selected, results))

@@ -156,7 +156,7 @@ class TestSweepDeterminism:
             assert fanned[experiment_id].notes == result.notes
 
     def test_scenario_batch_matches_serial(self):
-        from repro.runtime.scenarios import run_scenario_batch
+        from repro.service.scenarios import run_scenario_batch
 
         names = ["device-failure", "degraded-bandwidth"]
         serial = run_scenario_batch(names, seed=3, horizon=600.0, jobs=1)
@@ -166,7 +166,7 @@ class TestSweepDeterminism:
             assert fanned[name].to_json() == serial[name].to_json()
 
     def test_scenario_batch_validates_names(self):
-        from repro.runtime.scenarios import run_scenario_batch
+        from repro.service.scenarios import run_scenario_batch
 
         with pytest.raises(ConfigurationError):
             run_scenario_batch(["no-such-scenario"])

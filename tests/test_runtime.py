@@ -1,13 +1,14 @@
 """End-to-end tests for the online server runtime."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.runtime import (
-    MetricsLog,
-    SessionEventKind,
-    build_scenario,
+from repro.runtime import MetricsLog, SessionEventKind, run_runtime
+from repro.service.scenarios import (
+    SERVICE_SCENARIOS,
+    build_service_scenario,
     run_scenario,
 )
 from repro.workloads.arrivals import predicted_blocking
@@ -18,6 +19,17 @@ class TestDeterminism:
         first = run_scenario("device-failure", seed=5)
         second = run_scenario("device-failure", seed=5)
         assert first.to_json() == second.to_json()
+
+    @pytest.mark.parametrize("name", list(SERVICE_SCENARIOS))
+    def test_one_config_object_replays_identically(self, name):
+        # Drifts, surges and focuses move the engine's own workload
+        # copy, so a second run of the same object starts afresh.
+        config = build_service_scenario(name, seed=0,
+                                        horizon=4_000.0).to_legacy()
+        first, second = (
+            hashlib.sha256(run_runtime(config).to_json().encode()).digest()
+            for _ in range(2))
+        assert first == second, f"{name}: the second run diverged"
 
     def test_different_seeds_diverge(self):
         first = run_scenario("adaptive-cache", seed=1, horizon=2_000)
@@ -60,7 +72,7 @@ class TestLifecycle:
 class TestErlangValidation:
     def test_blocking_probability_tracks_erlang_b(self):
         result = run_scenario("steady-disk", seed=0)
-        config = build_scenario("steady-disk", seed=0)
+        config = build_service_scenario("steady-disk", seed=0)
         predicted = predicted_blocking(config.workload.arrival_rate,
                                        config.workload.mean_holding,
                                        result.final_capacity)
@@ -97,7 +109,8 @@ class TestFailureInjection:
                  if e.kind is SessionEventKind.DROP]
         assert len(drops) == result.totals["drops"]
         assert drops, "a near-capacity failure must shed someone"
-        failure_time = build_scenario("device-failure").failures[0].time
+        failure_time = build_service_scenario(
+            "device-failure").timeline.failures[0].time
         assert all(e.time >= failure_time for e in drops)
         assert all(e.reason for e in drops)
 
@@ -110,8 +123,8 @@ class TestFailureInjection:
 class TestAdaptivePlacement:
     def test_drift_triggers_migrations(self):
         result = run_scenario("adaptive-cache", seed=4)
-        config = build_scenario("adaptive-cache", seed=4)
-        first_drift = min(d.time for d in config.drifts)
+        config = build_service_scenario("adaptive-cache", seed=4)
+        first_drift = min(d.time for d in config.timeline.drifts)
         later = [m for m in result.migrations if m.time > first_drift]
         assert later, "popularity drift must cause re-placements"
         assert any(m.migrations_in for m in later)

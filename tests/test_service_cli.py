@@ -10,6 +10,8 @@ from repro.service.config import RuntimeConfig
 from repro.service.scenarios import (
     SERVICE_SCENARIOS,
     require_known_scenario,
+    run_scenario,
+    run_scenario_batch,
 )
 
 
@@ -33,11 +35,13 @@ class TestScenarioValidation:
             assert name in message
 
     def test_legacy_catalog_routes_through_the_same_validator(self):
-        from repro.runtime.scenarios import build_scenario
-
+        # The runners that used to sit on the legacy catalogue.
         with pytest.raises(ConfigurationError,
                            match="unknown scenario 'flash'"):
-            build_scenario("flash")
+            run_scenario("flash")
+        with pytest.raises(ConfigurationError,
+                           match="unknown scenario 'flash'"):
+            run_scenario_batch(["flash"])
 
     def test_cli_unknown_scenario_uses_the_canonical_text(self, capsys):
         assert main(["runtime", "flash"]) == 1
@@ -117,6 +121,21 @@ class TestEmitConfig:
         capsys.readouterr()
         notes = json.loads(service_json.read_text())["summary"]["notes"]
         assert notes["seed"] == 0
+
+    def test_negative_seed_is_an_error_line(self, capsys, tmp_path):
+        assert main(["runtime", "steady-disk", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        path = tmp_path / "negative.json"
+        assert main(["runtime", "steady-disk", "--emit-config",
+                     str(path)]) == 0
+        payload = json.loads(path.read_text())
+        payload["seed"] = -1
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["runtime", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
     def test_config_excludes_scenario_and_emit(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -8,7 +8,6 @@ import pytest
 from repro.core.parameters import SystemParameters
 from repro.errors import ConfigurationError
 from repro.runtime.failures import FailureKind
-from repro.runtime.scenarios import SCENARIOS
 from repro.service.backpressure import BackpressureConfig
 from repro.service.config import (
     ControlConfig,
@@ -206,6 +205,11 @@ class TestMalformedJson:
                            match=r"^seed must be an integer"):
             _from_json_with(lambda p: p.update(seed="x"))
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^seed must be >= 0, got -1"):
+            _from_json_with(lambda p: p.update(seed=-1))
+
     def test_rejects_fractional_title_count(self):
         with pytest.raises(ConfigurationError,
                            match=r"^workload\.n_titles must be an integer"):
@@ -232,23 +236,32 @@ class TestMalformedJson:
 class TestCompilation:
     @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
     def test_to_legacy_matches_the_shim_factories(self, name):
+        # Every field of the tree must reach the engine's config.
         declarative = build_service_scenario(name, seed=5, horizon=2_500.0)
-        legacy = SCENARIOS[name](seed=5, horizon=2_500.0)
         compiled = declarative.to_legacy()
-        assert compiled.params == legacy.params
-        assert compiled.configuration == legacy.configuration
-        assert compiled.dram_budget == legacy.dram_budget
-        assert compiled.failures == legacy.failures
-        assert compiled.drifts == legacy.drifts
-        assert compiled.surges == legacy.surges
-        assert compiled.focuses == legacy.focuses
-        assert compiled.seed == legacy.seed
-
-    @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
-    def test_from_legacy_round_trips(self, name):
-        declarative = build_service_scenario(name, seed=2, horizon=2_000.0)
-        lifted = RuntimeConfig.from_legacy(declarative.to_legacy())
-        assert lifted == declarative
+        assert compiled.params == declarative.system.to_params()
+        assert compiled.configuration == declarative.configuration
+        assert compiled.dram_budget == declarative.dram_budget
+        assert compiled.horizon == declarative.horizon
+        assert compiled.epoch == declarative.control.epoch
+        assert (compiled.metrics_interval
+                == declarative.control.metrics_interval)
+        workload = declarative.workload
+        assert (compiled.workload.arrival_rate,
+                compiled.workload.mean_holding,
+                compiled.workload.n_titles) == (
+            workload.arrival_rate, workload.mean_holding, workload.n_titles)
+        assert compiled.placement_decay == declarative.placement.decay
+        assert compiled.prefix_safety == declarative.placement.prefix_safety
+        assert compiled.prefix_floor == declarative.placement.prefix_floor
+        assert compiled.batch_window == declarative.placement.batch_window
+        timeline = declarative.timeline
+        assert compiled.failures == timeline.failures
+        assert compiled.drifts == timeline.drifts
+        assert compiled.surges == timeline.surges
+        assert compiled.focuses == timeline.focuses
+        assert compiled.seed == declarative.seed
+        assert compiled.session_core == declarative.session_core
 
     def test_replace_returns_an_updated_copy(self):
         config = _minimal()

@@ -164,13 +164,15 @@ class TestPendingAdmit:
 class TestReconfigureDrain:
     def test_reconfigure_maps_keywords_to_engine_operations(self):
         service, log = _service(adaptive_cache(seed=2, horizon=6_000.0))
-        factor = service.engine.config.workload.rate_factor
+        factor = service.engine.workload.rate_factor
         changes = service.reconfigure(rate_factor=2.0,
                                       dram_budget=40 * MB)
         assert changes == ("rate_factor=2",
                            f"dram_budget={40 * MB:g}")
-        assert (service.engine.config.workload.rate_factor
+        assert (service.engine.workload.rate_factor
                 == pytest.approx(2.0 * factor))
+        # The config the engine was built from is never mutated.
+        assert service.engine.config.workload.rate_factor == 1.0
         assert service.engine.config.dram_budget == 40 * MB
         events = log.of_type(Reconfigured)
         assert len(events) == 1

@@ -3,13 +3,11 @@
 The tentpole guarantee of the control-plane refactor: driving every
 named scenario through ``MediaService`` + ``TrafficProgram`` (built
 from the declarative :class:`RuntimeConfig`) produces the *same JSON
-document* as the pre-refactor ``run_runtime`` loop — same admissions,
-same rejections, same metrics, same seq numbers.  Horizons are trimmed
-for test-suite speed; the CLI smoke step in CI re-proves one scenario
-at a longer horizon.
+document* as the ``run_runtime`` batch loop — same admissions, same
+rejections, same metrics, same seq numbers.  Horizons are trimmed for
+test-suite speed; the CLI smoke step in CI re-proves one scenario at a
+longer horizon.
 """
-
-import json
 
 import pytest
 
@@ -27,8 +25,8 @@ from repro.service.events import (
 )
 from repro.service.facade import MediaService
 from repro.service.parity import (
-    compare_config,
-    compare_scenario,
+    compare_drivers,
+    compare_runs,
     verify_all,
 )
 from repro.service.scenarios import (
@@ -52,14 +50,19 @@ _HORIZONS = {
 }
 
 
+def _compare_drivers(name, *, seed=0, horizon=None):
+    return compare_drivers(name, build_service_scenario(
+        name, seed=seed, horizon=horizon))
+
+
 class TestParity:
     @pytest.mark.parametrize("name", sorted(SERVICE_SCENARIOS))
     def test_scenario_is_byte_identical(self, name):
-        report = compare_scenario(name, seed=0, horizon=_HORIZONS[name])
+        report = _compare_drivers(name, horizon=_HORIZONS[name])
         assert report.matches, report.first_divergence()
 
     def test_parity_survives_a_different_seed(self):
-        report = compare_scenario("adaptive-cache", seed=11,
+        report = _compare_drivers("adaptive-cache", seed=11,
                                   horizon=3_000.0)
         assert report.matches, report.first_divergence()
 
@@ -72,19 +75,22 @@ class TestParity:
         # Same scenario, different seeds: a real divergence the report
         # must localize rather than just flag.
         base = build_service_scenario("steady-disk", horizon=1_500.0)
-        legacy_json = run_runtime(base.to_legacy()).to_json(indent=None)
-        other = base.replace(seed=9)
-        report = compare_config("steady-disk", other)
-        report = type(report)(name="steady-disk", matches=False,
-                              legacy_json=legacy_json,
-                              service_json=report.service_json)
+        report = compare_runs(
+            "steady-disk", lambda: run_runtime(base.to_legacy()),
+            lambda: run_service(base.replace(seed=9)),
+            labels=("legacy", "service"))
+        assert not report.matches
         divergence = report.first_divergence()
         assert "at byte" in divergence
         assert "legacy" in divergence and "service" in divergence
+        same = compare_runs("steady-disk",
+                            lambda: run_runtime(base.to_legacy()),
+                            lambda: run_service(base))
+        assert same.matches and same.first_divergence() is None
 
     def test_timeline_events_fire_identically(self):
         # The scenario whose timeline carries every event family.
-        report = compare_scenario("flash_crowd", seed=0, horizon=4_000.0)
+        report = _compare_drivers("flash_crowd", horizon=4_000.0)
         assert report.matches, report.first_divergence()
 
 
@@ -119,12 +125,6 @@ class TestScenarioValidation:
             build_service_scenario("steady-disk", horizon=0.0)
 
 
-def _without_events_executed(result):
-    payload = json.loads(result.to_json(indent=None))
-    payload["summary"].pop("events_executed")
-    return json.dumps(payload, sort_keys=True)
-
-
 class TestTableCoreParity:
     """On the table core both drivers drain arrivals in windows, so the
     service JSON equals the run loop's byte for byte, executed-event
@@ -135,12 +135,13 @@ class TestTableCoreParity:
         config = build_service_scenario(name, seed=0,
                                         horizon=_HORIZONS[name])
         table = config.replace(session_core="table")
-        report = compare_config(name, table)
+        report = compare_drivers(name, table)
         assert report.matches, report.first_divergence()
         objects = run_service(config.replace(session_core="objects"))
         service = run_service(table)
-        assert (_without_events_executed(service)
-                == _without_events_executed(objects))
+        cores = compare_runs(name, lambda: objects, lambda: service,
+                             ignore=("events_executed",))
+        assert cores.matches, cores.first_divergence()
         # Control events only: no arrival or departure reaches the
         # calendar on the table core.
         assert service.events_executed < objects.events_executed

@@ -10,34 +10,37 @@ from repro.runtime import (
     FailureEvent,
     FailureKind,
     FocusEvent,
-    SCENARIOS,
     SessionEventKind,
-    build_scenario,
     render_dashboard,
     run_runtime,
+)
+from repro.service.config import TimelineConfig
+from repro.service.scenarios import (
+    SERVICE_SCENARIOS,
+    build_service_scenario,
     run_scenario_batch,
 )
 
 
-def _tiny_run(**overrides):
-    scenario = build_scenario("flash_crowd", seed=5)
-    config = dataclasses.replace(scenario, horizon=1800.0,
-                                 metrics_interval=300.0, surges=(),
-                                 focuses=overrides.pop("focuses", ()),
-                                 **overrides)
-    return run_runtime(config)
+def _tiny_run(*, failures=(), focuses=()):
+    scenario = build_service_scenario("flash_crowd", seed=5)
+    config = scenario.replace(
+        horizon=1800.0,
+        control=dataclasses.replace(scenario.control, metrics_interval=300.0),
+        timeline=TimelineConfig(failures=failures, focuses=focuses))
+    return run_runtime(config.to_legacy())
 
 
 class TestScenarioRegistry:
     def test_vod_scenarios_registered(self):
         for name in ("flash_crowd", "diurnal_drift", "long_tail"):
-            assert name in SCENARIOS
-            assert SCENARIOS[name]().configuration == "prefix"
+            assert name in SERVICE_SCENARIOS
+            assert SERVICE_SCENARIOS[name]().configuration == "prefix"
 
     def test_unknown_scenario_error_is_canonical(self):
         with pytest.raises(ConfigurationError,
                            match="unknown scenario 'nope'"):
-            build_scenario("nope")
+            build_service_scenario("nope")
         with pytest.raises(ConfigurationError,
                            match="unknown scenario 'nope'"):
             run_scenario_batch(["flash_crowd", "nope"], horizon=100.0)
@@ -132,51 +135,55 @@ class TestFocusEvents:
         assert released.metrics.to_json() == base.metrics.to_json()
 
     def test_config_validation(self):
-        scenario = build_scenario("flash_crowd", seed=5)
+        scenario = build_service_scenario("flash_crowd", seed=5)
+        placement = scenario.placement
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(scenario, prefix_safety=0.0)
+            dataclasses.replace(placement, prefix_safety=0.0)
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(scenario, prefix_floor=-1.0)
+            dataclasses.replace(placement, prefix_floor=-1.0)
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(scenario, batch_window=-5.0)
+            dataclasses.replace(placement, batch_window=-5.0)
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(scenario, configuration="bogus")
+            scenario.replace(configuration="bogus")
 
 
 class TestFlashCrowdAcceptance:
     """The issue's headline claim, asserted at the default horizon."""
 
     def test_fanout_and_admission_advantage(self):
-        prefix = run_runtime(build_scenario("flash_crowd", seed=11))
-        whole = run_runtime(dataclasses.replace(
-            build_scenario("flash_crowd", seed=11), configuration="cache"))
+        config = build_service_scenario("flash_crowd", seed=11)
+        prefix = run_runtime(config.to_legacy())
+        whole = run_runtime(
+            config.replace(configuration="cache").to_legacy())
         assert prefix.notes["fanout_sessions_per_stream"] >= 3.0
         assert prefix.totals["admits"] > whole.totals["admits"]
 
     def test_prefix_replans_reuse_warm_hints(self):
-        result = run_runtime(build_scenario("flash_crowd", seed=11))
+        result = run_runtime(
+            build_service_scenario("flash_crowd", seed=11).to_legacy())
         assert result.totals["replans"] > 0
         assert result.planner_cache["probes_warm"] > 0
 
 
 class TestOtherVodScenarios:
     def test_diurnal_drift_runs_and_drifts(self):
-        config = dataclasses.replace(build_scenario("diurnal_drift", seed=3),
-                                     horizon=1800.0)
-        result = run_runtime(config)
+        config = build_service_scenario("diurnal_drift", seed=3).replace(
+            horizon=1800.0)
+        result = run_runtime(config.to_legacy())
         assert result.totals["replans"] > 0
         assert result.final_mode == "prefix"
 
     def test_long_tail_fans_out_less_than_flash_crowd(self):
-        crowd = run_runtime(build_scenario("flash_crowd", seed=5))
-        tail = run_runtime(dataclasses.replace(
-            build_scenario("long_tail", seed=5), horizon=6000.0))
+        crowd = run_runtime(
+            build_service_scenario("flash_crowd", seed=5).to_legacy())
+        tail = run_runtime(build_service_scenario(
+            "long_tail", seed=5).replace(horizon=6000.0).to_legacy())
         assert crowd.notes["fanout_sessions_per_stream"] > \
             tail.notes["fanout_sessions_per_stream"]
 
     def test_batch_covers_all_scenarios(self):
-        results = run_scenario_batch(sorted(SCENARIOS), horizon=600.0,
-                                     seed=3, jobs=2)
-        assert sorted(results) == sorted(SCENARIOS)
+        results = run_scenario_batch(sorted(SERVICE_SCENARIOS),
+                                     horizon=600.0, seed=3, jobs=2)
+        assert sorted(results) == sorted(SERVICE_SCENARIOS)
         for name in ("flash_crowd", "diurnal_drift", "long_tail"):
             assert results[name].totals["admits"] > 0
