@@ -252,10 +252,15 @@ def _run_runtime(args: argparse.Namespace) -> int:
         if args.json:
             import json as _json
 
-            payload = {name: _json.loads(result.to_json())
-                       for name, result in results.items()}
+            # Each result's own document, nested one level under its
+            # name in registry order: the bytes of json.dump(...,
+            # indent=2) over the parsed results, without the parse.
+            members = ",\n".join(
+                f"  {_json.dumps(name)}: "
+                + result.to_json(indent=2).replace("\n", "\n  ")
+                for name, result in results.items())
             with open(args.json, "w", encoding="utf-8") as handle:
-                _json.dump(payload, handle, indent=2)
+                handle.write(f"{{\n{members}\n}}")
             print(f"wrote {args.json}", file=sys.stderr)
         return 0
     result = run_scenario(args.scenario, seed=seed,

@@ -128,10 +128,13 @@ class MetricsLog:
 
     # -- Serialisation -------------------------------------------------------
 
+    def to_dict(self) -> dict:
+        """The JSON payload, as the module docstring lays it out."""
+        return {"schema": SCHEMA_VERSION,
+                "snapshots": [s.to_dict() for s in self.snapshots]}
+
     def to_json(self, *, indent: int | None = None) -> str:
-        payload = {"schema": SCHEMA_VERSION,
-                   "snapshots": [s.to_dict() for s in self.snapshots]}
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsLog":

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 import numpy as np
 
@@ -230,6 +233,104 @@ class ArrivalOutcome:
     batched: bool = False
 
 
+#: ``SessionEvent`` JSON keys in sorted order, and the getter of each.
+#: ``kind`` reads the member's ``_value_`` attribute: ``.value`` is a
+#: Python-level property, a large share of the cost per row.
+_EVENT_KEYS: tuple[str, ...] = (
+    "kind", "reason", "served_by", "session_id", "time", "title")
+_EVENT_GETTERS = tuple(attrgetter("kind._value_" if key == "kind" else key)
+                       for key in _EVENT_KEYS)
+#: Event rows formatted per block: bounds the per-column scratch lists.
+_EVENT_BLOCK = 5000
+
+
+def _scalar_json(value: object) -> str:
+    """One JSON scalar, spelled as ``json.dumps`` spells it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    message = f"Object of type {type(value).__name__} is not JSON serializable"
+    raise TypeError(message)  # repro-lint: disable=exception-hygiene (json's own error)
+
+
+def _column_json(values: list) -> list[str]:
+    """:func:`_scalar_json` of each value, mapped in C where it can be.
+
+    Strings (with None) go through one lookup of their few distinct
+    values, finite floats through ``float.__repr__`` (which ``json``
+    uses, so numpy floats spell as plain ones) and ints through
+    ``int.__repr__``; a column of any other mix goes value by value.
+    """
+    types = set(map(type, values))
+    if all(t is type(None) or issubclass(t, str) for t in types):
+        text = {value: _scalar_json(value) for value in set(values)}
+        return list(map(text.__getitem__, values))
+    if (all(issubclass(t, float) for t in types)
+            and all(map(math.isfinite, values))):
+        return list(map(float.__repr__, values))
+    if all(issubclass(t, int) and not issubclass(t, bool) for t in types):
+        return list(map(int.__repr__, values))
+    return list(map(_scalar_json, values))
+
+
+def _event_chunks(events: list[SessionEvent],
+                  indent: int | None) -> list[str]:
+    """The ``"events"`` array of a result document, as text chunks.
+
+    Every row has the same six sorted keys, so one ``%`` template per
+    layout formats it from six pre-spelled columns; rows are built and
+    joined a block at a time, never as dicts.  The array sits at depth
+    1 of the document.
+    """
+    if not events:
+        return ["[]"]
+    if indent is None:
+        row = "{" + ", ".join(f'"{key}": %s' for key in _EVENT_KEYS) + "}"
+        opening, comma, closing = "[", ", ", "]"
+    else:
+        inner = "\n" + " " * (3 * indent)
+        outer = "\n" + " " * (2 * indent)
+        row = ("{" + inner + ("," + inner).join(
+            f'"{key}": %s' for key in _EVENT_KEYS) + outer + "}")
+        opening, comma, closing = "[" + outer, "," + outer, (
+            "\n" + " " * indent + "]")
+    chunks = [opening]
+    for start in range(0, len(events), _EVENT_BLOCK):
+        block = events[start:start + _EVENT_BLOCK]
+        columns = [_column_json(list(map(get, block)))
+                   for get in _EVENT_GETTERS]
+        if start:
+            chunks.append(comma)
+        chunks.append(comma.join(map(row.__mod__, zip(*columns))))
+    chunks.append(closing)
+    return chunks
+
+
+def _nested_json(value: object, indent: int | None) -> str:
+    """``json.dumps`` of ``value`` (sorted keys) placed at depth 1.
+
+    Re-indenting by newline is safe: ensure-ascii JSON escapes every
+    newline inside a string.
+    """
+    text = json.dumps(value, indent=indent, sort_keys=True)
+    if indent is None:
+        return text
+    return text.replace("\n", "\n" + " " * indent)
+
+
 @dataclass
 class RuntimeResult:
     """Everything one runtime run produced."""
@@ -271,28 +372,42 @@ class RuntimeResult:
                 - totals.get("drops", 0))
 
     def to_json(self, *, indent: int | None = None) -> str:
-        payload = {
-            "schema": 1,
-            "summary": {
-                "final_mode": self.final_mode,
-                "final_policy": self.final_policy,
-                "k_active": self.k_active,
-                "final_capacity": self.final_capacity,
-                "final_dram_required": self.final_dram_required,
-                "dram_budget": self.dram_budget,
-                "degraded_time": self.degraded_time,
-                "horizon": self.horizon,
-                "events_executed": self.events_executed,
-                "blocking_probability": self.blocking_probability,
-                "totals": self.totals,
-                "notes": dict(sorted(self.notes.items())),
-                "planner_cache": dict(sorted(self.planner_cache.items())),
-            },
-            "events": [e.to_dict() for e in self.events],
-            "migrations": [m.to_dict() for m in self.migrations],
-            "metrics": json.loads(self.metrics.to_json()),
+        """The run as schema-1 JSON (``schema``, ``summary``, ``events``,
+        ``migrations``, ``metrics``).
+
+        The text is exactly ``json.dumps(payload, indent=indent,
+        sort_keys=True)`` of that payload, but the event rows, nearly
+        all of it, are formatted from a template a block at a time (see
+        :func:`_event_chunks`); the small parts go through
+        ``json.dumps`` and are re-indented into place.
+        """
+        summary = {
+            "final_mode": self.final_mode,
+            "final_policy": self.final_policy,
+            "k_active": self.k_active,
+            "final_capacity": self.final_capacity,
+            "final_dram_required": self.final_dram_required,
+            "dram_budget": self.dram_budget,
+            "degraded_time": self.degraded_time,
+            "horizon": self.horizon,
+            "events_executed": self.events_executed,
+            "blocking_probability": self.blocking_probability,
+            "totals": self.totals,
+            "notes": self.notes,
+            "planner_cache": self.planner_cache,
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        if indent is None:
+            first, comma, last = "{", ", ", "}"
+        else:
+            first = "{\n" + " " * indent
+            comma, last = ",\n" + " " * indent, "\n}"
+        return "".join([
+            first, '"events": ', *_event_chunks(self.events, indent),
+            comma, '"metrics": ', _nested_json(self.metrics.to_dict(), indent),
+            comma, '"migrations": ',
+            _nested_json([m.to_dict() for m in self.migrations], indent),
+            comma, '"schema": 1',
+            comma, '"summary": ', _nested_json(summary, indent), last])
 
     def summary(self) -> str:
         totals = self.totals
