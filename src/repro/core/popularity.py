@@ -32,8 +32,63 @@ __all__ = [
     "PopularityDistribution",
     "UniformPopularity",
     "ZipfPopularity",
+    "finite_vector",
+    "ordered_sum",
     "paper_distributions",
+    "rank_titles",
 ]
+
+
+def finite_vector(values, *, name: str) -> np.ndarray:
+    """``values`` as a 1-D array of finite floats.
+
+    Accepts any iterable of numbers, generators included.  Anything
+    else — a NaN or infinity, a non-number, a nested sequence — raises
+    a :class:`ConfigurationError` naming ``name``.  An ndarray that is
+    already float64 comes back as-is, not copied.
+    """
+    try:
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{name} must be a sequence of numbers: {exc}") from exc
+    if array.ndim != 1:
+        raise ConfigurationError(
+            f"{name} must be one-dimensional, got shape {array.shape}")
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ConfigurationError(
+            f"{name} must be finite, got {array[bad].item()!r} at {bad}")
+    return array
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float total of ``values`` (0.0 when empty).
+
+    Every total that reaches seeded output or validation goes through
+    this one summation order.  ``np.cumsum`` adds sequentially, as
+    ``sum()`` over floats does on Python 3.10/3.11; ``np.sum`` is
+    pairwise and Python 3.12's ``sum()`` is compensated, so either
+    would move last bits between interpreters.
+    """
+    array = np.asarray(values, dtype=float)
+    if not array.size:
+        return 0.0
+    return float(np.cumsum(array)[-1])
+
+
+def rank_titles(scores) -> np.ndarray:
+    """Title ids by descending score, lower id first on ties.
+
+    The ranking both placement modes (whole-stream cache and prefix)
+    migrate by.  ``np.lexsort`` sorts by its last key first, so this is
+    ``sorted(range(n), key=lambda t: (-scores[t], t))`` in one call.
+    """
+    scores = np.asarray(scores, dtype=float)
+    return np.lexsort((np.arange(len(scores)), -scores))
 
 
 class PopularityDistribution(abc.ABC):
@@ -174,7 +229,8 @@ class EmpiricalPopularity(PopularityDistribution):
     theorems only consume ``hit_rate(p)``, so an empirical curve plugs
     into :func:`~repro.core.cache_model.design_mems_cache` unchanged.
 
-    ``weights`` are normalised access shares sorted most-popular-first.
+    ``weights`` are normalised access shares sorted most-popular-first
+    (any sequence is accepted and stored as a tuple).
     A partially cached marginal title is counted proportionally, making
     ``hit_rate`` continuous and monotone with ``hit_rate(0) = 0`` and
     ``hit_rate(1) = 1``.
@@ -183,41 +239,48 @@ class EmpiricalPopularity(PopularityDistribution):
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
+        weights = finite_vector(self.weights, name="weights")
+        if not weights.size:
             raise ConfigurationError("weights must be non-empty")
-        if any(w < 0 for w in self.weights):
+        if (weights < 0).any():
             raise ConfigurationError("weights must be >= 0")
-        if any(b > a + 1e-12 for a, b in zip(self.weights,
-                                             self.weights[1:])):
+        if (weights[1:] > weights[:-1] + 1e-12).any():
             raise ConfigurationError(
                 "weights must be sorted most-popular-first")
-        total = sum(self.weights)
+        # Left-to-right running totals (as ordered_sum): the last is the
+        # total, and hit_rate reads its whole-title heads from them.
+        cumulative = np.cumsum(weights)
+        total = float(cumulative[-1])
         if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
             raise ConfigurationError(
                 f"weights must sum to 1, got {total!r}")
+        if not isinstance(self.weights, tuple):
+            object.__setattr__(self, "weights", tuple(weights.tolist()))
+        object.__setattr__(self, "_cumulative", cumulative)
 
     @classmethod
     def from_counts(cls, counts) -> "EmpiricalPopularity":
         """Build from raw (unsorted, unnormalised) access counts.
 
+        ``counts`` may be any iterable of finite, non-negative numbers.
         All-zero counts degrade to the uniform distribution — a cold
         server has no popularity signal yet.
         """
-        values = sorted((float(c) for c in counts), reverse=True)
-        if not values:
+        values = np.sort(finite_vector(counts, name="counts"))[::-1]
+        if not values.size:
             raise ConfigurationError("counts must be non-empty")
-        if any(v < 0 for v in values):
+        if values[-1] < 0:
             raise ConfigurationError("counts must be >= 0")
-        total = sum(values)
+        total = ordered_sum(values)
         if total <= 0:
             return cls(weights=(1.0 / len(values),) * len(values))
-        return cls(weights=tuple(v / total for v in values))
+        return cls(weights=values / total)
 
     def hit_rate(self, cached_fraction: float) -> float:
         p = self._check_fraction(cached_fraction)
         scaled = p * len(self.weights)
         n_whole = int(math.floor(scaled + 1e-9))
-        head = sum(self.weights[:n_whole])
+        head = float(self._cumulative[n_whole - 1]) if n_whole else 0.0
         remainder = scaled - n_whole
         if n_whole < len(self.weights) and remainder > 1e-9:
             head += remainder * self.weights[n_whole]

@@ -32,7 +32,7 @@ from repro.core.cache_model import (
     cache_capacity_fraction,
 )
 from repro.core.parameters import SystemParameters
-from repro.core.popularity import EmpiricalPopularity
+from repro.core.popularity import EmpiricalPopularity, rank_titles
 from repro.errors import ConfigurationError
 from repro.planner.batch import demand_at
 from repro.planner.configuration import Configuration
@@ -188,10 +188,8 @@ class AdaptivePlacement:
                                            params.size_mems,
                                            params.size_disk)
         n_cacheable = int(np.floor(fraction * self.n_titles + 1e-9))
-        # Stable ranking: higher score first, lower title id on ties.
-        ranked = sorted(range(self.n_titles),
-                        key=lambda t: (-self._scores[t], t))
-        new_cached = tuple(sorted(ranked[:n_cacheable]))
+        ranked = rank_titles(self._scores)
+        new_cached = tuple(np.sort(ranked[:n_cacheable]).tolist())
         old = set(self._cached)
         new = set(new_cached)
         capacity: int | None = None

@@ -231,7 +231,9 @@ class PrefixPlacement:
                                      safety=self.safety,
                                      floor=self.floor_seconds), max_bytes)
         previous = self._allocation
-        resident = previous.resident_titles if previous is not None else ()
+        ranked = self._replacement.rank(
+            self._scores,
+            previous.resident_titles if previous is not None else ())
 
         at_population = params.replace(n_streams=n_io_active)
         # Build both bank policies' candidate allocations (and their
@@ -245,10 +247,9 @@ class PrefixPlacement:
         for policy in (CachePolicy.REPLICATED, CachePolicy.STRIPED):
             budget = (params.k * params.size_mems
                       if policy is CachePolicy.STRIPED else params.size_mems)
-            allocation = self._replacement.rebalance(
-                self._scores, base_bytes=base, max_bytes=max_bytes,
-                budget_bytes=budget, title_bytes=title_bytes,
-                resident=resident)
+            allocation = self._replacement.fill(
+                ranked, base_bytes=base, max_bytes=max_bytes,
+                budget_bytes=budget, title_bytes=title_bytes)
             fraction = allocation.mems_fraction(weights)
             slates.append((policy, allocation, fraction,
                            Configuration.prefix(policy, fraction)))
@@ -291,15 +292,13 @@ class PrefixPlacement:
 def _diff(previous: PrefixAllocation | None, current: PrefixAllocation
           ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Promotions, demotions and resizes between two allocations."""
-    old = set(previous.resident_titles) if previous is not None else set()
-    new = set(current.resident_titles)
-    promoted = tuple(sorted(new - old))
-    demoted = tuple(sorted(old - new))
-    resized: list[int] = []
-    if previous is not None:
-        tolerance = 1e-9 * current.title_bytes
-        for title in sorted(old & new):
-            if abs(previous.prefix_bytes[title]
-                   - current.prefix_bytes[title]) > tolerance:
-                resized.append(title)
-    return promoted, demoted, tuple(resized)
+    if previous is None:
+        return current.resident_titles, (), ()
+    before, after = previous.bytes_array, current.bytes_array
+    old, new = before > 0, after > 0
+    changed = np.abs(before - after) > 1e-9 * current.title_bytes
+    return (_ids(new & ~old), _ids(old & ~new), _ids(old & new & changed))
+
+
+def _ids(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())

@@ -21,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.parameters import SystemParameters
+from repro.core.popularity import finite_vector, ordered_sum
 from repro.core.startup import direct_startup
 from repro.errors import ConfigurationError, require
 
@@ -68,44 +71,55 @@ class PrefixAllocation:
     ``prefix_bytes[t]`` is the MEMS residency of title ``t`` (0 when the
     title is not resident at all); every resident prefix is clamped to
     the whole title.  Titles are modelled equal-sized (``title_bytes``
-    each), matching the scenario library model.
+    each), matching the scenario library model.  Any sequence of bytes
+    is accepted and stored as a tuple; a read-only float array of the
+    same values (:attr:`bytes_array`) backs the catalogue-wide queries.
     """
 
     prefix_bytes: tuple[float, ...]
     title_bytes: float
 
     def __post_init__(self) -> None:
-        if not self.prefix_bytes:
+        sizes = np.array(finite_vector(self.prefix_bytes,
+                                       name="prefix_bytes"))
+        if not sizes.size:
             raise ConfigurationError("prefix_bytes must be non-empty")
-        if self.title_bytes <= 0:
+        if not (math.isfinite(self.title_bytes) and self.title_bytes > 0):
             raise ConfigurationError(
-                f"title_bytes must be > 0, got {self.title_bytes!r}")
-        for title, size in enumerate(self.prefix_bytes):
-            if size < 0 or size > self.title_bytes * (1 + 1e-9):
-                raise ConfigurationError(
-                    f"prefix of title {title} must be in "
-                    f"[0, {self.title_bytes!r}], got {size!r}")
+                f"title_bytes must be finite and > 0, "
+                f"got {self.title_bytes!r}")
+        prefix = tuple(sizes.tolist())
+        bad = np.flatnonzero((sizes < 0)
+                             | (sizes > self.title_bytes * (1 + 1e-9)))
+        if bad.size:
+            title = int(bad[0])
+            raise ConfigurationError(
+                f"prefix of title {title} must be in "
+                f"[0, {self.title_bytes!r}], got {prefix[title]!r}")
+        sizes.flags.writeable = False
+        object.__setattr__(self, "prefix_bytes", prefix)
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_resident",
+                           tuple(np.flatnonzero(sizes > 0).tolist()))
 
     @property
     def n_titles(self) -> int:
         return len(self.prefix_bytes)
 
     @property
+    def bytes_array(self) -> np.ndarray:
+        """``prefix_bytes`` as a read-only float array."""
+        return self._sizes
+
+    @property
     def resident_titles(self) -> tuple[int, ...]:
         """Titles with any resident prefix, sorted by id."""
-        return tuple(t for t, size in enumerate(self.prefix_bytes)
-                     if size > 0)
+        return self._resident
 
     @property
     def total_bytes(self) -> float:
         """MEMS bytes the allocation occupies."""
-        return float(sum(self.prefix_bytes))
-
-    def byte_fraction(self, title: int) -> float:
-        """Resident fraction of one title's bytes, in [0, 1]."""
-        require(0 <= title < self.n_titles,
-                f"title must be in [0, {self.n_titles}), got {title!r}")
-        return min(self.prefix_bytes[title] / self.title_bytes, 1.0)
+        return ordered_sum(self._sizes)
 
     def window_seconds(self, title: int, bit_rate: float) -> float:
         """Playback duration of one title's resident prefix."""
@@ -122,19 +136,20 @@ class PrefixAllocation:
         ``weights`` are per-title access probabilities (summing to 1);
         the expected fraction of a random session's bytes that are
         MEMS-resident is ``sum_t w_t * prefix_t / title_bytes`` — the
-        ``h`` the prefix demand model of the planner consumes.
+        ``h`` the prefix demand model of the planner consumes.  Both
+        sums run left to right
+        (:func:`~repro.core.popularity.ordered_sum`).
         """
-        values = [float(w) for w in weights]
+        values = finite_vector(weights, name="weights")
         if len(values) != self.n_titles:
             raise ConfigurationError(
                 f"weights must have length {self.n_titles}, "
                 f"got {len(values)}")
-        if any(w < 0 for w in values):
+        if (values < 0).any():
             raise ConfigurationError("weights must be >= 0")
-        total = sum(values)
+        total = ordered_sum(values)
         if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-9):
             raise ConfigurationError(
                 f"weights must sum to 1, got {total!r}")
-        share = sum(w * self.byte_fraction(t)
-                    for t, w in enumerate(values))
-        return min(share, 1.0)
+        fractions = np.minimum(self._sizes / self.title_bytes, 1.0)
+        return min(ordered_sum(values * fractions), 1.0)

@@ -154,6 +154,15 @@ class TestEmpiricalUnderDrift:
         assert dist.weights == (0.25,) * 4
         assert dist.hit_rate(0.5) == pytest.approx(0.5)
 
+    def test_non_finite_counts_rejected(self):
+        for bad in ([1.0, float("nan")], [float("inf"), 1.0]):
+            with pytest.raises(ConfigurationError, match="counts"):
+                EmpiricalPopularity.from_counts(bad)
+        with pytest.raises(ConfigurationError, match="counts"):
+            EmpiricalPopularity.from_counts([[1.0, 2.0]])
+        with pytest.raises(ConfigurationError, match="weights"):
+            EmpiricalPopularity(weights=(float("nan"), 1.0))
+
     def test_drift_rotation_is_rank_invariant(self):
         # Rotating which titles carry the head (the DriftEvent model)
         # must not change the fitted rank curve: hit_rate consumes

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.cache_model import CachePolicy, cache_buffer
@@ -75,8 +76,10 @@ class TestPrefixAllocation:
         assert alloc.n_titles == 3
         assert alloc.resident_titles == (0, 2)
         assert alloc.total_bytes == pytest.approx(90 * MB)
-        assert alloc.byte_fraction(1) == pytest.approx(0.0)
-        assert alloc.byte_fraction(0) == pytest.approx(60 * MB / (2 * GB))
+        # All traffic on one title: h is that title's resident fraction.
+        assert alloc.mems_fraction([0.0, 1.0, 0.0]) == pytest.approx(0.0)
+        assert alloc.mems_fraction([1.0, 0.0, 0.0]) == pytest.approx(
+            60 * MB / (2 * GB))
 
     def test_window_seconds(self):
         alloc = PrefixAllocation(prefix_bytes=(60 * MB, 0.0),
@@ -108,6 +111,13 @@ class TestPrefixAllocation:
             PrefixAllocation(prefix_bytes=(1.0,), title_bytes=0.0)
         with pytest.raises(ConfigurationError):
             PrefixAllocation(prefix_bytes=(3 * GB,), title_bytes=2 * GB)
+        with pytest.raises(ConfigurationError, match="prefix_bytes"):
+            PrefixAllocation(prefix_bytes=(1.0, math.nan), title_bytes=2.0)
+        with pytest.raises(ConfigurationError, match="title_bytes"):
+            PrefixAllocation(prefix_bytes=(1.0,), title_bytes=math.inf)
+        with pytest.raises(ConfigurationError, match="weights"):
+            PrefixAllocation(prefix_bytes=(1.0, 0.0),
+                             title_bytes=2.0).mems_fraction([math.nan, 1.0])
 
 
 class TestAdaptiveReplacement:
@@ -172,6 +182,40 @@ class TestAdaptiveReplacement:
         with pytest.raises(ConfigurationError):
             policy.rebalance([1.0], base_bytes=1.0, max_bytes=2.0,
                              budget_bytes=-1.0, title_bytes=1 * GB)
+
+    @pytest.mark.parametrize("field, overrides", [
+        # a NaN score used to rank first and take a full prefix
+        ("scores", dict(scores=[1.0, math.nan, 2.0])),
+        ("scores", dict(scores=[1.0, math.inf, 2.0])),
+        # a NaN budget used to give every title a full prefix
+        ("budget_bytes", dict(budget_bytes=math.nan)),
+        ("budget_bytes", dict(budget_bytes=math.inf)),
+        ("base_bytes", dict(base_bytes=math.nan)),
+        ("max_bytes", dict(max_bytes=math.nan)),
+        # out-of-range resident ids used to be ignored; -1 must not
+        # wrap onto the last title
+        ("resident", dict(resident=(-1,))),
+        ("resident", dict(resident=(0, 3))),
+        ("resident", dict(resident=(0.5,))),
+    ])
+    def test_rejects_non_finite_and_out_of_range(self, field, overrides):
+        call = dict(scores=[1.0, 3.0, 2.0], base_bytes=10 * MB,
+                    max_bytes=60 * MB, budget_bytes=60 * MB,
+                    title_bytes=1 * GB, resident=())
+        call.update(overrides)
+        scores = call.pop("scores")
+        with pytest.raises(ConfigurationError, match=field):
+            AdaptiveReplacement().rebalance(scores, **call)
+
+    def test_fill_rejects_empty_ranking(self):
+        with pytest.raises(ConfigurationError, match="ranked"):
+            AdaptiveReplacement.fill(np.array([], dtype=int), base_bytes=1.0,
+                                     max_bytes=2.0, budget_bytes=4.0,
+                                     title_bytes=2.0)
+
+    def test_rejects_non_finite_hysteresis(self):
+        with pytest.raises(ConfigurationError, match="hysteresis"):
+            AdaptiveReplacement(hysteresis=math.nan)
 
 
 class TestMulticastBatcher:
